@@ -13,7 +13,6 @@ Reproducibility contract: parameters are drawn from randenc.numerics.SeededRng
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -24,6 +23,7 @@ from .numerics import (
     SeededRng,
     layer_norm,
     sigmoid,
+    softmax_rows,
     spectral_radius,
     uniform_init,
     xavier_uniform_init,
@@ -481,11 +481,6 @@ def sinusoidal_pe(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def multi_head_attention(
     z: np.ndarray, block: AttentionBlock, return_weights: bool = False
 ):
@@ -503,7 +498,7 @@ def multi_head_attention(
         q = z @ block.w_q[h].T
         k = z @ block.w_k[h].T
         v = z @ block.w_v[h].T
-        attn = _softmax_rows((q @ k.T) / math.sqrt(d_k))
+        attn = softmax_rows((q @ k.T) / math.sqrt(d_k))
         outs.append(attn @ v)
         if return_weights:
             weights.append(attn)
@@ -602,28 +597,22 @@ def encode_and_pool(params, seq: TokenSequence, pooling: str, tree=None) -> Sent
 def encode_corpus(
     params,
     seqs: list[TokenSequence],
-    pooling: str,
+    poolings: tuple[str, ...],
     trees=None,
-    workers: int = 1,
-) -> np.ndarray:
-    """Pooled embeddings for a batch of sentences, rows in input order.
+) -> dict[str, np.ndarray]:
+    """Pooled embeddings for a batch of sentences: {pooling: N x D' matrix},
+    rows in input order.
 
-    Encoding is pure, so a thread pool may fan out over sentences; results
-    are written by index and therefore order-stable regardless of schedule.
+    Each sentence is encoded once and its context matrix pooled every
+    requested way, so the rows equal encode_and_pool(..., pooling) bit for
+    bit.
     """
     trees = trees if trees is not None else [None] * len(seqs)
     if len(trees) != len(seqs):
         raise ValueError("trees and sequences must align one to one")
-
-    def one(idx: int) -> np.ndarray:
-        return encode_and_pool(params, seqs[idx], pooling, tree=trees[idx]).values
-
-    out = np.empty((len(seqs), params.out_dim))
-    if workers <= 1:
-        for i in range(len(seqs)):
-            out[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            for i, row in enumerate(pool_exec.map(one, range(len(seqs)))):
-                out[i] = row
+    out = {kind: np.empty((len(seqs), params.out_dim)) for kind in poolings}
+    for i, (seq, tree) in enumerate(zip(seqs, trees)):
+        context = encode(params, seq, tree=tree)
+        for kind, rows in out.items():
+            rows[i] = pool(context, kind).values
     return out

@@ -17,6 +17,7 @@ __all__ = [
     "uniform_init",
     "xavier_uniform_init",
     "softmax",
+    "softmax_rows",
     "layer_norm",
     "SpectralRadiusEstimate",
     "spectral_radius",
@@ -87,6 +88,13 @@ def softmax(v) -> np.ndarray:
         raise ValueError("softmax input must be finite")
     e = np.exp(v - v.max())
     return e / e.sum()
+
+
+def softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-d array (attention weights, probe class
+    probabilities); unchecked, shift-invariant per row."""
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def layer_norm(v, eps: float = 1e-5) -> np.ndarray:

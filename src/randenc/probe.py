@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import SeededRng, uniform_init
+from .numerics import SeededRng, softmax_rows, uniform_init
 
 __all__ = [
     "DegenerateTaskError",
@@ -129,11 +129,6 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -153,7 +148,7 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2: float, kind: str):
     logits, hidden = _forward(params, x, kind)
     log_p = _log_softmax_rows(logits)
     loss = -log_p[np.arange(n), y].mean()
-    delta = (_softmax_rows(logits) - _one_hot(y, logits.shape[1])) / n
+    delta = (softmax_rows(logits) - _one_hot(y, logits.shape[1])) / n
     if kind == "logreg":
         w = params[0]
         loss += 0.5 * l2 * float((w * w).sum())

@@ -1,6 +1,10 @@
 """Experiment harness: sweep encoder kind x output dim x pooling x seed
 over a set of tasks, train one probe per tuple, and emit result tables.
 
+Work is scheduled per (task, encoder, dim, seed) job: the encoder is built
+and the corpus encoded once, every configured pooling is taken from that
+one encoding, and each pooling gets its own probe and result row.
+
 Outputs in the configured directory:
   results.csv  one row per tuple: task,encoder,dim,pooling,seed,accuracy,wall_ms
   summary.csv  per (task, encoder, dim, pooling): mean, sample sd, n over seeds
@@ -130,6 +134,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if len(set(self.poolings)) != len(self.poolings):
+            # one job encodes once and yields one row per distinct pooling
+            raise ConfigError(f"poolings must be distinct, got {self.poolings}")
         for p in self.poolings:
             if p not in enc.POOLINGS:
                 raise ConfigError(f"unknown pooling {p!r}; expected subset of {enc.POOLINGS}")
@@ -317,45 +324,72 @@ def _build_encoder(spec: EncoderSpec, seed: int, in_dim: int, dim: int):
     return enc.build_encoder(spec.kind, seed, in_dim, dim, **spec.hyper_dict())
 
 
-def _embed_all(params, prepared: _PreparedTask, pooling: str) -> np.ndarray:
+def _encode_all(params, prepared: _PreparedTask, poolings):
+    """One encode pass over the task's corpus and, for pair tasks, its second
+    corpus: ({pooling: x}, {pooling: x2}), the second None for single tasks."""
     ds = prepared.dataset
     on_trees = params.kind == "tree_lstm"
     seqs = prepared.tree_seqs if on_trees else prepared.seqs
-    x = enc.encode_corpus(params, list(seqs), pooling, trees=ds.trees if on_trees else None)
-    if ds.kind == "pair":
-        seqs2 = prepared.tree_seqs2 if on_trees else prepared.seqs2
-        x2 = enc.encode_corpus(
-            params, list(seqs2), pooling, trees=ds.trees2 if on_trees else None
-        )
-        return pair_features(x, x2)
-    return x
+    xs = enc.encode_corpus(params, list(seqs), poolings, trees=ds.trees if on_trees else None)
+    if ds.kind != "pair":
+        return xs, None
+    seqs2 = prepared.tree_seqs2 if on_trees else prepared.seqs2
+    xs2 = enc.encode_corpus(params, list(seqs2), poolings, trees=ds.trees2 if on_trees else None)
+    return xs, xs2
 
 
-def _run_tuple(
-    prepared: _PreparedTask, spec: EncoderSpec, dim: int, pooling: str, seed: int,
-    probe_config: ProbeConfig, timing: bool,
-) -> ResultRow:
+def _probe_accuracy(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: ProbeConfig) -> float:
+    if plan.kind == "cv":
+        return float(kfold_accuracy(x, y, plan.folds, config))
+    _model, report = train_probe(x, y, plan, config)
+    return float(report.test_accuracy)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_job(
+    prepared: _PreparedTask, spec: EncoderSpec, dim: int, seed: int,
+    poolings: tuple[str, ...], probe_config: ProbeConfig, timing: bool,
+) -> list[ResultRow]:
+    """One (task, encoder, dim, seed) job: build the encoder and encode the
+    corpus once, then train one probe per pooling; one row per pooling.
+
+    Crash isolation: a build or encode failure marks every row of the job, a
+    probe failure only its own row. A row's wall_ms is the shared build and
+    encode time plus its own probe time, i.e. what the tuple would cost if
+    run alone.
+    """
     ds = prepared.dataset
+
+    def row(pooling: str, accuracy: float, seconds: float, error: str = "") -> ResultRow:
+        wall_ms = int(round(seconds * 1000)) if timing else 0
+        return ResultRow(ds.name, spec.label, dim, pooling, seed, accuracy, wall_ms, error)
+
     start = time.perf_counter()
     try:
-        in_dim = prepared.seqs[0].dim
-        params = _build_encoder(spec, seed, in_dim, dim)
-        x = _embed_all(params, prepared, pooling)
-        y = ds.label_indices
-        config = replace(probe_config, seed=seed)
-        if ds.plan.kind == "cv":
-            accuracy = kfold_accuracy(x, y, ds.plan.folds, config)
-        else:
-            _model, report = train_probe(x, y, ds.plan, config)
-            accuracy = report.test_accuracy
-        wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
-        return ResultRow(ds.name, spec.label, dim, pooling, seed, float(accuracy), wall_ms)
-    except Exception as exc:  # crash isolation: one bad tuple never kills the sweep
-        wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
-        return ResultRow(
-            ds.name, spec.label, dim, pooling, seed, float("nan"), wall_ms,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        params = _build_encoder(spec, seed, prepared.seqs[0].dim, dim)
+        xs, xs2 = _encode_all(params, prepared, poolings)
+    except Exception as exc:  # crash isolation: one bad job never kills the sweep
+        shared = time.perf_counter() - start
+        return [row(p, float("nan"), shared, _describe(exc)) for p in poolings]
+    shared = time.perf_counter() - start
+
+    y = ds.label_indices
+    config = replace(probe_config, seed=seed)
+    rows = []
+    for pooling in poolings:
+        probe_start = time.perf_counter()
+        accuracy, error = float("nan"), ""
+        try:
+            x = xs.pop(pooling)  # drop each matrix once its probe has it
+            features = x if xs2 is None else pair_features(x, xs2.pop(pooling))
+            accuracy = _probe_accuracy(features, y, ds.plan, config)
+        except Exception as exc:
+            error = _describe(exc)
+        rows.append(row(pooling, accuracy, shared + time.perf_counter() - probe_start, error))
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -374,23 +408,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     prepared = [_prepare_task(config, ds, table) for ds in datasets]
 
     jobs = [
-        (p, spec, dim, pooling, seed)
+        (p, spec, dim, seed)
         for p in prepared
         for spec in config.encoders
         for dim in config.dims
-        for pooling in config.poolings
         for seed in config.seeds
     ]
 
     def run(job):
-        p, spec, dim, pooling, seed = job
-        return _run_tuple(p, spec, dim, pooling, seed, config.probe, config.timing)
+        p, spec, dim, seed = job
+        return _run_job(p, spec, dim, seed, config.poolings, config.probe, config.timing)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(run, jobs))
+            rows = [r for job_rows in pool.map(run, jobs) for r in job_rows]
     else:
-        rows = [run(job) for job in jobs]
+        rows = [r for job in jobs for r in run(job)]
     rows.sort(key=lambda r: r.sort_key)
     summary = aggregate(rows)
     result = ExperimentResult(tuple(rows), tuple(summary))

@@ -137,6 +137,9 @@ def _read_tsv(path: str, kind: str):
                 f"{path}:{line_no}: expected {n_fields} tab-separated fields "
                 f"for a {kind} task, got {len(parts)}"
             )
+        if any(not text.strip() for text in parts[1:]):
+            # an empty sentence has no token to encode; fail here, not mid-sweep
+            raise TaskFormatError(f"{path}:{line_no}: empty text")
         labels.append(parts[0])
         texts.append(parts[1])
         if kind == "pair":

@@ -40,6 +40,31 @@ def test_load_unparseable_value(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_rejects_non_finite_value(tmp_path, bad):
+    p = tmp_path / "vec.txt"
+    p.write_text(f"a 1.0 2.0\nb 3.0 {bad}\n")
+    with pytest.raises(EmbeddingFormatError, match="non-finite") as err:
+        load_embeddings(str(p))
+    assert err.value.line_no == 2
+    assert f"{p}:2:" in str(err.value)
+
+
+def test_load_accepts_finite_values_whose_sum_overflows(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("a 1.5e308 -1.5e308\nb 1.5e308 -1.5e308\n")
+    table = load_embeddings(str(p))
+    assert np.array_equal(table.lookup("b"), [1.5e308, -1.5e308])
+
+
+def test_load_names_first_non_finite_line(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("a 1.0 2.0\nb 3.0 4.0\nb 1.0 inf\nc nan 1.0\n")
+    with pytest.raises(EmbeddingFormatError) as err:
+        load_embeddings(str(p))
+    assert err.value.line_no == 3  # a dropped duplicate still counts
+
+
 def test_load_empty_file(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("")

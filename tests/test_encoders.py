@@ -29,6 +29,7 @@ from randenc.encoders import (
     reservoir_states,
 )
 from randenc.numerics import SeededRng, uniform_init
+from randenc.trees import right_branching_parse
 
 from conftest import make_seq
 
@@ -417,14 +418,34 @@ def test_build_encoder_bad_hyper():
         enc.build_encoder("borep", 0, 4, 8, window=3)
 
 
-def test_encode_corpus_order_stable_and_parallel(nprng):
+def test_encode_corpus_row_order_and_poolings(nprng):
     params = build_borep(5, 6, 12)
     seqs = [make_seq(nprng, int(nprng.integers(1, 9)), 6) for _ in range(24)]
-    serial = encode_corpus(params, seqs, "max", workers=1)
-    threaded = encode_corpus(params, seqs, "max", workers=4)
-    assert np.array_equal(serial, threaded)
-    one = encode_and_pool(params, seqs[7], "max").values
-    assert np.array_equal(serial[7], one)
+    pooled = encode_corpus(params, seqs, ("mean", "max"))
+    assert list(pooled) == ["mean", "max"]
+    for pooling, rows in pooled.items():
+        assert rows.shape == (24, 12)
+        for i in (0, 7, 23):
+            assert np.array_equal(rows[i], encode_and_pool(params, seqs[i], pooling).values)
+    assert np.array_equal(encode_corpus(params, seqs, ("max",))["max"], pooled["max"])
+    assert encode_corpus(params, seqs, ()) == {}
+
+
+@pytest.mark.parametrize("kind", ALL_SEQ_KINDS + ("tree_lstm",))
+def test_encode_corpus_matches_per_sentence_path(kind, nprng):
+    # random lengths plus T=1 and T=2, both shorter than the default CNN window
+    lengths = [1, 2] + [int(t) for t in nprng.integers(1, 10, 10)]
+    seqs = [make_seq(nprng, t, 6) for t in lengths]
+    hyper = {"sparsity": 0.5} if kind == "esn" else {}
+    params = enc.build_encoder(kind, 11, 6, 16, **hyper)
+    trees = [right_branching_parse(s.tokens) for s in seqs] if kind == "tree_lstm" else None
+    pooled = encode_corpus(params, seqs, ("max", "mean"), trees=trees)
+    for pooling in ("max", "mean"):
+        oracle = np.array([
+            encode_and_pool(params, s, pooling, tree=trees[i] if trees else None).values
+            for i, s in enumerate(seqs)
+        ])
+        assert np.array_equal(pooled[pooling], oracle)
 
 
 def test_encode_and_pool_provenance(nprng):

@@ -1,10 +1,15 @@
 import csv
 import math
 import os
+import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from randenc import encoders as enc
+from randenc import runner
 from randenc.encoders import ConfigError
 from randenc.runner import (
     RESULTS_HEADER,
@@ -16,8 +21,10 @@ from randenc.runner import (
     parse_encoder_spec,
     run_experiment,
     write_results_csv,
+    write_summary_csv,
 )
 from randenc.tasks import (
+    TaskFormatError,
     make_synthetic_embeddings,
     make_synthetic_order_task,
     synthetic_vocabulary,
@@ -74,11 +81,20 @@ def test_parse_rejects_malformed():
 # ---------------------------------------------------------------------------
 
 
+def as_pair_task(ds):
+    """Pair the order task with itself shifted by one example, trees included."""
+    texts2 = ds.texts[1:] + ds.texts[:1]
+    trees2 = ds.trees[1:] + ds.trees[:1] if ds.trees is not None else None
+    return replace(ds, name="pairs", kind="pair", texts2=texts2, trees2=trees2)
+
+
 def stage_experiment(tmp_path, *, n=80, encoders="borep,rand_lstm", dims="16",
                      seeds="1,2", poolings="max", extra="", with_trees=True,
-                     embed_dim=8):
+                     embed_dim=8, pair=False):
     task_dir = tmp_path / "order"
     ds = make_synthetic_order_task(n, n_fillers=16, seed=0, with_trees=with_trees)
+    if pair:
+        ds = as_pair_task(ds)
     manifest = write_task_files(ds, str(task_dir))
     table = make_synthetic_embeddings(synthetic_vocabulary(16), embed_dim, seed=1)
     emb_path = tmp_path / "vectors.txt"
@@ -137,6 +153,8 @@ def test_config_validation():
         ExperimentConfig("e", ("t",), (spec,), seeds=(1, 1))
     with pytest.raises(ConfigError):
         ExperimentConfig("e", ("t",), (spec,), poolings=("avg",))
+    with pytest.raises(ConfigError, match="distinct"):
+        ExperimentConfig("e", ("t",), (spec,), poolings=("max", "max"))
     with pytest.raises(ConfigError):
         ExperimentConfig("e", ("t",), (), dims=(16,))
 
@@ -245,13 +263,151 @@ def test_tree_lstm_without_trees_fails_fast(tmp_path):
 
 
 def test_workers_do_not_change_results(tmp_path):
-    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1,2")
+    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1,2",
+                            poolings="max,mean")
     config = ExperimentConfig.from_file(path)
     serial = run_experiment(config)
-    from dataclasses import replace
-
     threaded = run_experiment(replace(config, workers=4))
     assert serial.rows == threaded.rows
+
+
+# ---------------------------------------------------------------------------
+# one encode per (task, encoder, dim, seed) job, every pooling from it
+# ---------------------------------------------------------------------------
+
+JOB_ENCODERS = "borep,esn(sparsity=0.6),cnn,tree_lstm"
+
+
+def read_bytes(config, name):
+    with open(os.path.join(config.output_dir, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_poolings_together_match_separate_runs(tmp_path, pair):
+    path = stage_experiment(tmp_path, n=40, encoders=JOB_ENCODERS, seeds="1,2",
+                            poolings="max,mean", pair=pair)
+    both_config = ExperimentConfig.from_file(path)
+    both = run_experiment(both_config)
+    separate = []
+    for pooling in ("max", "mean"):
+        config = replace(both_config, poolings=(pooling,),
+                         output_dir=str(tmp_path / f"out_{pooling}"))
+        separate.extend(run_experiment(config).rows)
+    assert not both.errors
+    expected = sorted(separate, key=lambda r: r.sort_key)
+    assert list(both.rows) == expected
+    results, summary = tmp_path / "expected_results.csv", tmp_path / "expected_summary.csv"
+    write_results_csv(str(results), expected)
+    write_summary_csv(str(summary), aggregate(expected))
+    assert read_bytes(both_config, "results.csv") == results.read_bytes()
+    assert read_bytes(both_config, "summary.csv") == summary.read_bytes()
+
+
+def count_encodes(monkeypatch):
+    calls = Counter()
+    original = enc.encode
+
+    def counting(params, seq, tree=None):
+        calls[(params.kind, params.out_dim, params.seed, id(seq))] += 1
+        return original(params, seq, tree=tree)
+
+    monkeypatch.setattr(enc, "encode", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+@pytest.mark.parametrize("poolings", ["max", "max,mean"])
+def test_each_sentence_encoded_once_per_job(tmp_path, monkeypatch, pair, poolings):
+    n = 20
+    path = stage_experiment(tmp_path, n=n, encoders="borep,tree_lstm", dims="8,16",
+                            seeds="1,2", poolings=poolings, pair=pair)
+    calls = count_encodes(monkeypatch)
+    result = run_experiment(ExperimentConfig.from_file(path))
+    assert not result.errors
+    corpora = 2 if pair else 1
+    jobs = 2 * 2 * 2  # encoders x dims x seeds
+    assert len(calls) == jobs * corpora * n
+    assert set(calls.values()) == {1}
+
+
+def test_build_failure_marks_every_pooling_row(tmp_path):
+    # heads=3 cannot divide dim=16: the whole job fails, both poolings
+    path = stage_experiment(tmp_path, encoders="borep,self_attention(heads=3)",
+                            seeds="1", poolings="max,mean")
+    result = run_experiment(ExperimentConfig.from_file(path))
+    assert [(r.encoder, r.pooling) for r in result.errors] == [
+        ("self_attention(heads=3)", "max"), ("self_attention(heads=3)", "mean"),
+    ]
+    assert all("ConfigError" in r.error and math.isnan(r.accuracy) for r in result.errors)
+    assert len([r for r in result.rows if not r.error]) == 2
+
+
+def test_encode_failure_marks_every_pooling_row(tmp_path, monkeypatch):
+    original = enc.encode
+
+    def failing(params, seq, tree=None):
+        if params.kind == "rand_lstm":
+            raise ArithmeticError("rand_lstm: non-finite values in encoder output")
+        return original(params, seq, tree=tree)
+
+    monkeypatch.setattr(enc, "encode", failing)
+    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1",
+                            poolings="max,mean")
+    result = run_experiment(ExperimentConfig.from_file(path))
+    assert [(r.encoder, r.pooling) for r in result.errors] == [
+        ("rand_lstm", "max"), ("rand_lstm", "mean"),
+    ]
+    assert all(r.error.startswith("ArithmeticError") for r in result.errors)
+    assert all(r.encoder == "borep" for r in result.rows if not r.error)
+
+
+def test_probe_failure_marks_only_its_row(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1", poolings="max,mean")
+    config = ExperimentConfig.from_file(path)
+    clean = {r.pooling: r for r in run_experiment(config).rows}
+    original = runner.train_probe
+    calls = []
+
+    def second_call_fails(*args, **kwargs):
+        # a job probes its poolings in config order: max, then mean
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("probe diverged")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "train_probe", second_call_fails)
+    rows = {r.pooling: r for r in run_experiment(config).rows}
+    assert rows["max"] == clean["max"]
+    assert rows["mean"].error == "FloatingPointError: probe diverged"
+    assert math.isnan(rows["mean"].accuracy)
+
+
+def test_wall_ms_includes_shared_build_and_encode(tmp_path, monkeypatch):
+    original = enc.build_encoder
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "build_encoder", slow_build)
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1", poolings="max,mean")
+    result = run_experiment(replace(ExperimentConfig.from_file(path), timing=True))
+    assert [r.pooling for r in result.rows] == ["max", "mean"]
+    assert all(r.wall_ms >= 50 for r in result.rows)
+
+
+def test_empty_text_fails_before_any_encoding(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1")
+    train = tmp_path / "order" / "train.tsv"
+    lines = train.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "1\t\n"
+    train.write_text("".join(lines), encoding="utf-8")
+    builds = []
+    monkeypatch.setattr(enc, "build_encoder", lambda *a, **k: builds.append(a))
+    with pytest.raises(TaskFormatError, match=r"train\.tsv:3: empty text"):
+        run_experiment(ExperimentConfig.from_file(path))
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,27 @@ def test_pair_task_missing_field_line_number(tmp_path):
         load_task(manifest)
 
 
+@pytest.mark.parametrize("text", ["", "   "])
+def test_empty_text_names_file_and_line(tmp_path, text):
+    manifest = single_task_dir(
+        tmp_path,
+        f"a\tx\nb\t{text}\n",
+        "a\tz\nb\tw\n",
+        "a\tq\nb\tr\n",
+    )
+    with pytest.raises(TaskFormatError, match=r"train\.tsv:2: empty text"):
+        load_task(manifest)
+
+
+def test_pair_task_empty_second_text(tmp_path):
+    write(tmp_path / "data.tsv", "1\tleft sent\tright sent\n0\tleft\t\n")
+    manifest = write(
+        tmp_path / "task.manifest", "name=p\nkind=pair\ndata=data.tsv\nsplit=cv2\n"
+    )
+    with pytest.raises(TaskFormatError, match=r"data\.tsv:2: empty text"):
+        load_task(manifest)
+
+
 def test_pair_task_loads(tmp_path):
     rows = "".join(f"{i % 2}\tleft {i}\tright {i}\n" for i in range(10))
     write(tmp_path / "data.tsv", rows)
