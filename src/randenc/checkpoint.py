@@ -16,8 +16,7 @@ import typing
 
 import numpy as np
 
-from . import encoders, trees
-from .encoders import AttentionBlock, LstmWeights, _frozen
+from .encoders import KINDS, _frozen
 
 __all__ = ["CheckpointError", "save_encoder", "load_encoder", "FORMAT_NAME", "FORMAT_VERSION"]
 
@@ -25,15 +24,6 @@ FORMAT_NAME = "randenc-encoder"
 FORMAT_VERSION = 1
 
 _META_KEY = "__meta__"
-
-_PARAM_CLASSES = {
-    "borep": encoders.BorepParams,
-    "rand_lstm": encoders.RandLstmParams,
-    "esn": encoders.EsnParams,
-    "cnn": encoders.CnnParams,
-    "self_attention": encoders.SelfAttentionParams,
-    "tree_lstm": trees.TreeLstmParams,
-}
 
 
 class CheckpointError(ValueError):
@@ -46,7 +36,7 @@ def _collect(obj, prefix: str, scalars: dict, arrays: dict) -> None:
         key = prefix + field.name
         if isinstance(value, np.ndarray):
             arrays[key] = np.ascontiguousarray(value, dtype="<f8")
-        elif isinstance(value, (LstmWeights, AttentionBlock)):
+        elif dataclasses.is_dataclass(value):
             _collect(value, key + ".", scalars, arrays)
         elif isinstance(value, tuple):
             for i, item in enumerate(value):
@@ -60,7 +50,7 @@ def _collect(obj, prefix: str, scalars: dict, arrays: dict) -> None:
 def save_encoder(path: str, params) -> None:
     """Write one encoder's frozen parameters to an .npz checkpoint."""
     kind = params.kind
-    if kind not in _PARAM_CLASSES:
+    if kind not in KINDS:
         raise CheckpointError(f"unknown encoder kind {kind!r}")
     scalars: dict = {}
     arrays: dict = {}
@@ -86,7 +76,7 @@ def _rebuild(cls, prefix: str, scalars: dict, arrays: dict):
             if key not in arrays:
                 raise CheckpointError(f"checkpoint is missing array {key!r}")
             kwargs[field.name] = _frozen(arrays[key])
-        elif hint in (LstmWeights, AttentionBlock):
+        elif dataclasses.is_dataclass(hint):
             kwargs[field.name] = _rebuild(hint, key + ".", scalars, arrays)
         elif typing.get_origin(hint) is tuple:
             item_cls = typing.get_args(hint)[0]
@@ -118,6 +108,6 @@ def load_encoder(path: str):
     if meta.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
     kind = meta.get("kind")
-    if kind not in _PARAM_CLASSES:
+    if kind not in KINDS:
         raise CheckpointError(f"{path}: unknown encoder kind {kind!r}")
-    return _rebuild(_PARAM_CLASSES[kind], "", meta["fields"], arrays)
+    return _rebuild(KINDS[kind].params, "", meta["fields"], arrays)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "ContextMatrix",
     "SentenceEmbedding",
     "ENCODER_KINDS",
+    "KINDS",
+    "EncoderKind",
     "POOLINGS",
     "BorepParams",
     "LstmWeights",
@@ -62,7 +64,6 @@ __all__ = [
     "reservoir_states",
 ]
 
-ENCODER_KINDS = ("borep", "rand_lstm", "esn", "cnn", "self_attention", "tree_lstm")
 POOLINGS = ("max", "mean")
 
 
@@ -522,27 +523,13 @@ def encode_self_attention(params: SelfAttentionParams, seq: TokenSequence) -> np
 # Construction, dispatch, pooling.
 # ---------------------------------------------------------------------------
 
-EncoderParams = object  # any of the *Params dataclasses (incl. trees.TreeLstmParams)
-
-_BUILDERS = {
-    "borep": build_borep,
-    "rand_lstm": build_rand_lstm,
-    "esn": build_esn,
-    "cnn": build_cnn,
-    "self_attention": build_self_attention,
-}
-
 
 def build_encoder(kind: str, seed: int, in_dim: int, out_dim: int, **hyper):
     """Construct frozen parameters for any encoder kind."""
-    if kind == "tree_lstm":
-        from .trees import build_tree_lstm
-
-        return build_tree_lstm(seed, in_dim, out_dim, **hyper)
-    if kind not in _BUILDERS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
     try:
-        return _BUILDERS[kind](seed, in_dim, out_dim, **hyper)
+        return KINDS[kind].build(seed, in_dim, out_dim, **hyper)
     except TypeError as exc:
         raise ConfigError(f"{kind}: bad hyperparameters ({exc})") from None
 
@@ -554,24 +541,11 @@ def encode(params, seq: TokenSequence, tree=None) -> ContextMatrix:
     validated finite; length is at least 1.
     """
     kind = params.kind
-    if kind == "tree_lstm":
-        from .trees import encode_tree_lstm
-
-        if tree is None:
-            raise ValueError("tree_lstm encoding requires a parse tree")
-        values = encode_tree_lstm(params, seq, tree)
-    elif kind == "borep":
-        values = encode_borep(params, seq)
-    elif kind == "rand_lstm":
-        values = encode_rand_lstm(params, seq)
-    elif kind == "esn":
-        values = encode_esn(params, seq)
-    elif kind == "cnn":
-        values = encode_cnn(params, seq)
-    elif kind == "self_attention":
-        values = encode_self_attention(params, seq)
-    else:
+    if kind not in KINDS:
         raise ConfigError(f"unknown encoder kind {kind!r}")
+    if kind == "tree_lstm" and tree is None:
+        raise ValueError("tree_lstm encoding requires a parse tree")
+    values = KINDS[kind].encode(params, seq, tree)
     if not np.isfinite(values).all():
         raise ArithmeticError(f"{kind}: non-finite values in encoder output")
     return ContextMatrix(values, kind, params.seed)
@@ -616,3 +590,43 @@ def encode_corpus(
         for kind, rows in out.items():
             rows[i] = pool(context, kind).values
     return out
+
+
+# ---------------------------------------------------------------------------
+# The kind table: the one place that lists the encoder kinds.
+# ---------------------------------------------------------------------------
+
+
+class EncoderKind(NamedTuple):
+    """One encoder kind: its params dataclass, its builder
+    (seed, in_dim, out_dim, **hyper) -> params, and its encoder
+    (params, seq, tree) -> T x D' array."""
+
+    params: type
+    build: Callable
+    encode: Callable
+
+
+def _sequence_kind(params: type, build: Callable, encode_fn: Callable) -> EncoderKind:
+    return EncoderKind(params, build, lambda p, seq, tree: encode_fn(p, seq))
+
+
+# trees builds on this module's LSTM pieces, so it is imported once they exist
+from . import trees  # noqa: E402
+
+KINDS = {
+    "borep": _sequence_kind(BorepParams, build_borep, encode_borep),
+    "rand_lstm": _sequence_kind(RandLstmParams, build_rand_lstm, encode_rand_lstm),
+    "esn": _sequence_kind(EsnParams, build_esn, encode_esn),
+    "cnn": _sequence_kind(CnnParams, build_cnn, encode_cnn),
+    "self_attention": _sequence_kind(
+        SelfAttentionParams, build_self_attention, encode_self_attention
+    ),
+    # looked up on trees at each call, so a wrapper set on that module is used
+    "tree_lstm": EncoderKind(
+        trees.TreeLstmParams,
+        lambda *args, **hyper: trees.build_tree_lstm(*args, **hyper),
+        lambda p, seq, tree: trees.encode_tree_lstm(p, seq, tree),
+    ),
+}
+ENCODER_KINDS = tuple(KINDS)

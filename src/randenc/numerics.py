@@ -16,17 +16,11 @@ __all__ = [
     "SeededRng",
     "uniform_init",
     "xavier_uniform_init",
-    "softmax",
     "softmax_rows",
     "layer_norm",
     "SpectralRadiusEstimate",
     "spectral_radius",
-    "matmul",
     "sigmoid",
-    "tanh",
-    "concat",
-    "hadamard",
-    "abs_diff",
 ]
 
 
@@ -77,17 +71,6 @@ def xavier_uniform_init(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"invalid shape {rows}x{cols}; need rows, cols >= 1")
     bound = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, (rows, cols))
-
-
-def softmax(v) -> np.ndarray:
-    """Probability vector exp(v)/sum(exp(v)), computed shift-invariantly."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a non-empty 1-d vector")
-    if not np.isfinite(v).all():
-        raise ValueError("softmax input must be finite")
-    e = np.exp(v - v.max())
-    return e / e.sum()
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -169,62 +152,8 @@ def spectral_radius(m, iters: int = 10000, tol: float = 1e-10) -> SpectralRadius
     return SpectralRadiusEstimate(estimate, False, iters)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Reference matrix product with the naive triple-loop summation order.
-
-    Accumulates rank-1 terms in inner-index order, so every output entry
-    sees the exact float operation sequence of ``sum_k a[i,k] * b[k,j]``
-    evaluated left to right. BLAS-backed ``@`` may differ in the last ulp;
-    bit-stable oracles should use this kernel.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects two 2-d matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[None, k, :]
-    return out
-
-
 def sigmoid(x) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)), overflow-safe for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def tanh(x) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def concat(parts) -> np.ndarray:
-    """Concatenate 1-d vectors in order."""
-    arrays = [np.asarray(p, dtype=np.float64) for p in parts]
-    if not arrays:
-        raise ValueError("concat expects at least one vector")
-    for p in arrays:
-        if p.ndim != 1:
-            raise ValueError("concat expects 1-d vectors")
-    return np.concatenate(arrays)
-
-
-def _check_same_shape(u: np.ndarray, v: np.ndarray) -> None:
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-
-
-def hadamard(u, v) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _check_same_shape(u, v)
-    return u * v
-
-
-def abs_diff(u, v) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _check_same_shape(u, v)
-    return np.abs(u - v)

@@ -132,11 +132,17 @@ class ExperimentConfig:
             raise ConfigError("tasks, encoders, dims and poolings must all be non-empty")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        if len(set(self.poolings)) != len(self.poolings):
-            # one job encodes once and yields one row per distinct pooling
-            raise ConfigError(f"poolings must be distinct, got {self.poolings}")
+        # a repeat on any grid axis reruns identical tuples, which the summary
+        # would count as extra seeds
+        axes = {
+            "encoders": tuple(spec.label for spec in self.encoders),
+            "dims": self.dims,
+            "poolings": self.poolings,
+            "seeds": self.seeds,
+        }
+        for name, values in axes.items():
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct, got {values}")
         for p in self.poolings:
             if p not in enc.POOLINGS:
                 raise ConfigError(f"unknown pooling {p!r}; expected subset of {enc.POOLINGS}")
@@ -320,10 +326,6 @@ def _prepare_task(config: ExperimentConfig, dataset: TaskDataset,
 # ---------------------------------------------------------------------------
 
 
-def _build_encoder(spec: EncoderSpec, seed: int, in_dim: int, dim: int):
-    return enc.build_encoder(spec.kind, seed, in_dim, dim, **spec.hyper_dict())
-
-
 def _encode_all(params, prepared: _PreparedTask, poolings):
     """One encode pass over the task's corpus and, for pair tasks, its second
     corpus: ({pooling: x}, {pooling: x2}), the second None for single tasks."""
@@ -369,7 +371,9 @@ def _run_job(
 
     start = time.perf_counter()
     try:
-        params = _build_encoder(spec, seed, prepared.seqs[0].dim, dim)
+        params = enc.build_encoder(
+            spec.kind, seed, prepared.seqs[0].dim, dim, **spec.hyper_dict()
+        )
         xs, xs2 = _encode_all(params, prepared, poolings)
     except Exception as exc:  # crash isolation: one bad job never kills the sweep
         shared = time.perf_counter() - start

@@ -20,18 +20,6 @@ def _random_seq(rng: np.random.Generator, t_len: int, dim: int) -> TokenSequence
     return TokenSequence([f"t{i}" for i in range(t_len)], rng.normal(size=(t_len, dim)))
 
 
-def check_matmul_reference() -> None:
-    rng = np.random.default_rng(11)
-    a, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 9))
-    naive = np.zeros((7, 9))
-    for i in range(7):
-        for j in range(9):
-            for k in range(5):
-                naive[i, j] += a[i, k] * b[k, j]
-    if not np.array_equal(numerics.matmul(a, b), naive):
-        raise AssertionError("reference matmul deviates from the naive triple loop")
-
-
 def check_layer_norm() -> None:
     rng = np.random.default_rng(12)
     v = numerics.layer_norm(rng.normal(size=(4, 16)))
@@ -157,7 +145,6 @@ def check_order_task() -> None:
 
 
 CHECKS = [
-    ("matmul-reference-kernel", check_matmul_reference),
     ("layer-norm-moments", check_layer_norm),
     ("cnn-window1-equals-borep", check_cnn_borep_equivalence),
     ("pooling-permutation-contract", check_permutation_invariance),

@@ -13,7 +13,14 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from .embeddings import TokenSequence
-from .encoders import ConfigError, LstmWeights, _frozen, bilstm_states, draw_lstm_direction
+from .encoders import (
+    ConfigError,
+    LstmWeights,
+    _check_input_dim,
+    _frozen,
+    bilstm_states,
+    draw_lstm_direction,
+)
 from .numerics import SeededRng, sigmoid, uniform_init
 
 __all__ = [
@@ -297,11 +304,8 @@ def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree
     node_domain="leaves" only the L leaf rows are returned, otherwise all
     2L - 1.
     """
-    if seq.dim != params.in_dim:
-        raise ValueError(
-            f"tree_lstm: sequence dim {seq.dim} != encoder input dim {params.in_dim}"
-        )
-    n_leaves = sum(1 for _ in filter(None, (n.is_leaf for n in tree.post_order())))
+    _check_input_dim(params, seq)
+    n_leaves = len(tree.leaf_tokens())
     if n_leaves != len(seq.tokens):
         raise ValueError(
             f"tree has {n_leaves} leaves but the sentence has {len(seq.tokens)} tokens"

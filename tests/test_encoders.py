@@ -413,9 +413,28 @@ def test_build_encoder_unknown_kind():
         enc.build_encoder("gru", 0, 4, 8)
 
 
-def test_build_encoder_bad_hyper():
-    with pytest.raises(ConfigError):
-        enc.build_encoder("borep", 0, 4, 8, window=3)
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_build_encoder_bad_hyper(kind):
+    with pytest.raises(ConfigError, match="bad hyperparameters"):
+        enc.build_encoder(kind, 0, 4, 8, bogus=1)
+
+
+def test_tree_lstm_dispatch_reads_trees_module_per_call(monkeypatch, nprng):
+    # wrappers set on randenc.trees (as a tracer does) must see every call
+    from randenc import trees
+
+    calls = []
+
+    def spy(name):
+        original = getattr(trees, name)
+        return lambda *args, **kw: calls.append(name) or original(*args, **kw)
+
+    monkeypatch.setattr(trees, "build_tree_lstm", spy("build_tree_lstm"))
+    monkeypatch.setattr(trees, "encode_tree_lstm", spy("encode_tree_lstm"))
+    seq = make_seq(nprng, 3, 4)
+    params = enc.build_encoder("tree_lstm", 0, 4, 8)
+    encode(params, seq, tree=right_branching_parse(seq.tokens))
+    assert calls == ["build_tree_lstm", "encode_tree_lstm"]
 
 
 def test_encode_corpus_row_order_and_poolings(nprng):

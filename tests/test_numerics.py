@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from randenc import numerics
 from randenc.numerics import (
     SeededRng,
     layer_norm,
-    matmul,
     sigmoid,
-    softmax,
+    softmax_rows,
     spectral_radius,
     uniform_init,
     xavier_uniform_init,
@@ -21,15 +19,6 @@ from randenc.numerics import (
 # ---------------------------------------------------------------------------
 # oracles (independent naive references, written against the contracts)
 # ---------------------------------------------------------------------------
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
 
 
 def naive_softmax(v):
@@ -94,34 +83,27 @@ def test_init_empirical_mean_shrinks(d, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax_rows (attention weights and probe class probabilities)
 # ---------------------------------------------------------------------------
 
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+    assert np.allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
 
 def test_softmax_ln2():
-    out = softmax(np.array([math.log(2.0), 0.0]))
-    assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    out = softmax_rows(np.array([[math.log(2.0), 0.0]]))
+    assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
 
 def test_softmax_matches_naive_oracle(nprng):
     v = nprng.normal(size=7)
-    assert np.abs(softmax(v) - naive_softmax(v)).max() < 1e-12
-
-
-def test_softmax_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        softmax(np.array([]))
-    with pytest.raises(ValueError):
-        softmax(np.array([1.0, np.nan]))
+    assert np.abs(softmax_rows(v[None, :])[0] - naive_softmax(v)).max() < 1e-12
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.floats(-50, 50)))
 def test_softmax_sums_to_one(v):
-    out = softmax(v)
+    out = softmax_rows(v[None, :])
     assert abs(out.sum() - 1.0) < 1e-9
     assert (out >= 0).all()
 
@@ -131,7 +113,16 @@ def test_softmax_sums_to_one(v):
     st.floats(-20, 20),
 )
 def test_softmax_shift_invariance(v, c):
-    assert np.abs(softmax(v) - softmax(v + c)).max() < 1e-9
+    assert np.abs(softmax_rows(v[None, :]) - softmax_rows(v[None, :] + c)).max() < 1e-9
+
+
+def test_softmax_rows_independent(nprng):
+    # rows on very different scales: each is normalized (and shifted) on its own
+    m = nprng.normal(size=(5, 7)) + np.array([[-40.0], [0.0], [3.0], [25.0], [60.0]])
+    out = softmax_rows(m)
+    for i in range(5):
+        assert np.abs(out[i] - naive_softmax(m[i])).max() < 1e-12
+        assert np.array_equal(out[i], softmax_rows(m[i : i + 1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +211,8 @@ def test_spectral_radius_rejects_non_square():
 
 
 # ---------------------------------------------------------------------------
-# matmul and elementwise helpers
+# elementwise helpers
 # ---------------------------------------------------------------------------
-
-
-@given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**31))
-@settings(max_examples=30, deadline=None)
-def test_matmul_exactly_matches_naive_loop(n, k, m, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, k))
-    b = rng.normal(size=(k, m))
-    got = matmul(a, b)
-    want = naive_matmul(a, b)
-    assert np.array_equal(got, want)  # bit-exact, same summation order
-
-
-def test_matmul_rejects_mismatched_inner():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_sigmoid_range_and_values():
@@ -251,12 +226,3 @@ def test_sigmoid_range_and_values():
 def test_sigmoid_matches_definition(nprng):
     x = nprng.normal(size=50) * 5
     assert np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x))).max() < 1e-15
-
-
-def test_concat_hadamard_absdiff(nprng):
-    u, v = nprng.normal(size=6), nprng.normal(size=6)
-    assert np.array_equal(numerics.concat([u, v]), np.concatenate([u, v]))
-    assert np.array_equal(numerics.hadamard(u, v), u * v)
-    assert np.array_equal(numerics.abs_diff(u, v), np.abs(u - v))
-    with pytest.raises(ValueError):
-        numerics.hadamard(u, v[:3])

@@ -153,8 +153,15 @@ def test_config_validation():
         ExperimentConfig("e", ("t",), (spec,), seeds=(1, 1))
     with pytest.raises(ConfigError):
         ExperimentConfig("e", ("t",), (spec,), poolings=("avg",))
-    with pytest.raises(ConfigError, match="distinct"):
+    with pytest.raises(ConfigError, match="poolings must be distinct"):
         ExperimentConfig("e", ("t",), (spec,), poolings=("max", "max"))
+    with pytest.raises(ConfigError, match="encoders must be distinct"):
+        ExperimentConfig("e", ("t",), (spec, parse_encoder_spec("borep")))
+    with pytest.raises(ConfigError, match="dims must be distinct"):
+        ExperimentConfig("e", ("t",), (spec,), dims=(8, 8))
+    # same kind, different hyperparameters: distinct columns of the sweep
+    cnn2 = parse_encoder_spec("cnn(window=2)")
+    ExperimentConfig("e", ("t",), (parse_encoder_spec("cnn"), cnn2), dims=(8, 16))
     with pytest.raises(ConfigError):
         ExperimentConfig("e", ("t",), (), dims=(16,))
 
