@@ -135,6 +135,7 @@ class ExperimentConfig:
         # a repeat on any grid axis reruns identical tuples, which the summary
         # would count as extra seeds
         axes = {
+            "tasks": self.tasks,
             "encoders": tuple(spec.label for spec in self.encoders),
             "dims": self.dims,
             "poolings": self.poolings,
@@ -400,8 +401,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full sweep; returns rows in canonical order and writes
     results.csv / summary.csv (and errors.csv when applicable) under
     config.output_dir."""
-    table = load_embeddings(config.embeddings)
     datasets = [load_task(path) for path in config.tasks]
+    # rows are keyed by task name, so two manifests with one name would merge
+    # into one task whose repeats the summary counts as extra seeds
+    names = tuple(ds.name for ds in datasets)
+    if len(set(names)) != len(names):
+        raise ConfigError(f"task names must be distinct, got {names}")
     if any(spec.kind == "tree_lstm" for spec in config.encoders):
         missing = [ds.name for ds in datasets if not ds.has_trees]
         if missing:
@@ -409,6 +414,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 "tree_lstm is in the encoder list but these tasks have no "
                 f"parse trees: {', '.join(missing)}"
             )
+    table = load_embeddings(config.embeddings)
     prepared = [_prepare_task(config, ds, table) for ds in datasets]
 
     jobs = [

@@ -77,6 +77,28 @@ def check_esn_contract() -> None:
         raise AssertionError(f"echo-state contraction failed: final-state gap {gap:.3e}")
 
 
+def check_batched_encode() -> None:
+    rng = np.random.default_rng(17)
+    seqs = [_random_seq(rng, t, 6) for t in (1, 2, 5, 5, 3, 9, 5, 1)]
+    parses = [trees.right_branching_parse(s.tokens) for s in seqs]
+    for kind in encoders.ENCODER_KINDS:
+        hyper = {"sparsity": 0.5} if kind == "esn" else {}
+        params = encoders.build_encoder(kind, 8, 6, 16, **hyper)
+        sentence_trees = parses if kind == "tree_lstm" else [None] * len(seqs)
+        pooled = encoders.encode_corpus(params, seqs, ("max", "mean"), trees=sentence_trees)
+        for pooling, rows in pooled.items():
+            oracle = np.array([
+                encoders.encode_and_pool(params, seq, pooling, tree=tree).values
+                for seq, tree in zip(seqs, sentence_trees)
+            ])
+            gap = float(np.abs(rows - oracle).max())
+            if gap > 1e-12:
+                raise AssertionError(
+                    f"{kind}: batched {pooling} rows deviate from per-sentence encoding "
+                    f"by {gap:.3e}"
+                )
+
+
 def check_probe_gradients() -> None:
     rng = np.random.default_rng(16)
     x = rng.normal(size=(20, 6))
@@ -149,6 +171,7 @@ CHECKS = [
     ("cnn-window1-equals-borep", check_cnn_borep_equivalence),
     ("pooling-permutation-contract", check_permutation_invariance),
     ("esn-radius-and-contraction", check_esn_contract),
+    ("batched-encode-matches-per-sentence", check_batched_encode),
     ("probe-gradients-and-ln2", check_probe_gradients),
     ("checkpoint-bit-exact", check_checkpoint_roundtrip),
     ("tree-binarization", check_tree_shapes),

@@ -217,6 +217,7 @@ def load_task(manifest_path: str) -> TaskDataset:
                 f"{manifest_path}: trees file has {len(trees)} parses "
                 f"for {len(texts)} examples"
             )
+        _check_leaf_counts(resolve(entries["trees"]), trees, texts)
     if "trees2" in entries:
         if kind != "pair":
             raise TaskFormatError(f"{manifest_path}: trees2= only applies to pair tasks")
@@ -226,10 +227,26 @@ def load_task(manifest_path: str) -> TaskDataset:
                 f"{manifest_path}: trees2 file has {len(trees2)} parses "
                 f"for {len(texts)} examples"
             )
+        _check_leaf_counts(resolve(entries["trees2"]), trees2, texts2)
     return TaskDataset(
         name, kind, tuple(texts), tuple(texts2) if texts2 is not None else None,
         tuple(labels), classes, plan, trees, trees2,
     )
+
+
+def _check_leaf_counts(path: str, parses, texts) -> None:
+    """Every parse needs one leaf per whitespace token of its text: the tree
+    path encodes that many tokens (lowercasing and cleanup keep the count).
+    A mismatch names the parse's line in path, blank lines counted."""
+    for index, (tree, text) in enumerate(zip(parses, texts)):
+        n_leaves, n_tokens = tree.leaf_count, len(text.split())
+        if n_leaves != n_tokens:
+            with open(path, encoding="utf-8") as fh:
+                parse_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
+            raise TaskFormatError(
+                f"{path}:{parse_lines[index]}: tree has {n_leaves} leaves "
+                f"but the text has {n_tokens} tokens"
+            )
 
 
 def _first_appearance(labels) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from .encoders import (
     _check_input_dim,
     _frozen,
     bilstm_states,
+    bilstm_states_batch,
     draw_lstm_direction,
 )
 from .numerics import SeededRng, sigmoid, uniform_init
@@ -33,6 +34,8 @@ __all__ = [
     "TreeLstmParams",
     "build_tree_lstm",
     "encode_tree_lstm",
+    "encode_tree_lstm_batch",
+    "check_leaf_count",
     "TREE_GATE_ORDER",
     "NODE_DOMAINS",
 ]
@@ -83,6 +86,19 @@ class ParseTree:
 
     def leaf_tokens(self) -> list[str]:
         return [n.token for n in self.post_order() if n.is_leaf]
+
+    @property
+    def leaf_count(self) -> int:
+        """len(leaf_tokens()), without building the list."""
+        count, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            if node.token is None:
+                stack.append(node.left)
+                stack.append(node.right)
+            else:
+                count += 1
+        return count
 
     @property
     def node_count(self) -> int:
@@ -284,15 +300,25 @@ def build_tree_lstm(
 
 
 def _tree_cell(params: TreeLstmParams, z: np.ndarray, c_l: np.ndarray, c_r: np.ndarray):
+    """One node's (h, c) from its 5D' gate input z, or one row per node when
+    z is N x 5D'."""
     d = params.out_dim
-    i = sigmoid(z[0:d])
-    f_l = sigmoid(z[d : 2 * d])
-    f_r = sigmoid(z[2 * d : 3 * d])
-    o = sigmoid(z[3 * d : 4 * d])
-    u = np.tanh(z[4 * d : 5 * d])
+    i = sigmoid(z[..., 0:d])
+    f_l = sigmoid(z[..., d : 2 * d])
+    f_r = sigmoid(z[..., 2 * d : 3 * d])
+    o = sigmoid(z[..., 3 * d : 4 * d])
+    u = np.tanh(z[..., 4 * d : 5 * d])
     c = i * u + f_l * c_l + f_r * c_r
     h = o * np.tanh(c)
     return h, c
+
+
+def check_leaf_count(tree: ParseTree, seq: TokenSequence) -> None:
+    n_leaves = tree.leaf_count
+    if n_leaves != len(seq.tokens):
+        raise ValueError(
+            f"tree has {n_leaves} leaves but the sentence has {len(seq.tokens)} tokens"
+        )
 
 
 def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree) -> np.ndarray:
@@ -305,11 +331,7 @@ def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree
     2L - 1.
     """
     _check_input_dim(params, seq)
-    n_leaves = len(tree.leaf_tokens())
-    if n_leaves != len(seq.tokens):
-        raise ValueError(
-            f"tree has {n_leaves} leaves but the sentence has {len(seq.tokens)} tokens"
-        )
+    check_leaf_count(tree, seq)
     ctx = bilstm_states(params.leaf_forward, params.leaf_backward, seq.vectors)
     d = params.out_dim
     zero = np.zeros(d)
@@ -330,3 +352,56 @@ def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree
         if params.node_domain == "all" or node.is_leaf:
             rows.append(h)
     return np.vstack(rows)
+
+
+def _height_levels(trees: list[ParseTree], n_nodes: int):
+    """Schedule for a batch of trees with n_nodes nodes each: the row of every
+    leaf, in tree then token order, and per height 1, 2, ... the arrays
+    (rows, left child rows, right child rows) of the internal nodes of that
+    height in every tree. Tree b's post-order node p has row b * n_nodes + p."""
+    leaf_rows: list[int] = []
+    by_height: dict[int, list[tuple[int, int, int]]] = {}
+    for b, tree in enumerate(trees):
+        placed: dict[int, tuple[int, int]] = {}  # id(node) -> (row, height)
+        for p, node in enumerate(tree.post_order(), start=b * n_nodes):
+            if node.is_leaf:
+                leaf_rows.append(p)
+                placed[id(node)] = (p, 0)
+                continue
+            left, h_l = placed.pop(id(node.left))
+            right, h_r = placed.pop(id(node.right))
+            height = 1 + max(h_l, h_r)
+            by_height.setdefault(height, []).append((p, left, right))
+            placed[id(node)] = (p, height)
+    levels = [np.array(by_height[h]).T for h in sorted(by_height)]
+    return np.array(leaf_rows), levels
+
+
+def encode_tree_lstm_batch(
+    params: TreeLstmParams, seqs: list[TokenSequence], trees: list[ParseTree]
+) -> np.ndarray:
+    """encode_tree_lstm over B sentences of equal length L, checked already:
+    B x (2L - 1) x D' node rows in post-order, or B x L x D' leaf rows with
+    node_domain="leaves".
+
+    The leaf BiLSTM runs on all B sentences at once and every leaf goes
+    through one product; internal nodes follow one height at a time across
+    the batch, each height one product per child side (the dynamic batching
+    of Looks et al. 2017, TensorFlow Fold).
+    """
+    xs = np.stack([seq.vectors for seq in seqs])
+    b_len, n_leaves, _ = xs.shape
+    n_nodes = 2 * n_leaves - 1
+    d = params.out_dim
+    leaf_rows, levels = _height_levels(trees, n_nodes)
+    h = np.empty((b_len * n_nodes, d))
+    c = np.empty((b_len * n_nodes, d))
+    ctx = bilstm_states_batch(params.leaf_forward, params.leaf_backward, xs)
+    z = ctx.reshape(-1, d) @ params.w.T + params.b
+    h[leaf_rows], c[leaf_rows] = _tree_cell(params, z, 0.0, 0.0)
+    for rows, lefts, rights in levels:
+        z = h[lefts] @ params.u_l.T + h[rights] @ params.u_r.T + params.b
+        h[rows], c[rows] = _tree_cell(params, z, c[lefts], c[rights])
+    if params.node_domain == "leaves":
+        return h[leaf_rows].reshape(b_len, n_leaves, d)
+    return h.reshape(b_len, n_nodes, d)

@@ -18,6 +18,20 @@ def tiny_table():
     )
 
 
+# Batched encoding changes the summation order of the recurrent, attention
+# and tree products; borep and cnn make the same products as the
+# per-sentence path.
+BIT_EXACT_KINDS = ("borep", "cnn")
+ORACLE_TOL = 1e-12
+
+
+def assert_matches_oracle(kind: str, batched: np.ndarray, oracle: np.ndarray) -> None:
+    if kind in BIT_EXACT_KINDS:
+        assert np.array_equal(batched, oracle)
+    else:
+        assert np.abs(batched - oracle).max() <= ORACLE_TOL
+
+
 def make_seq(rng, t_len: int, dim: int) -> TokenSequence:
     return TokenSequence([f"t{i}" for i in range(t_len)], rng.normal(size=(t_len, dim)))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from randenc.encoders import (
     reservoir_states,
 )
 from randenc.numerics import SeededRng, uniform_init
-from randenc.trees import right_branching_parse
+from randenc.trees import ParseTree, right_branching_parse
 
-from conftest import make_seq
+from conftest import ORACLE_TOL, assert_matches_oracle, make_seq
 
 
 def _frozen(a):
@@ -464,7 +465,99 @@ def test_encode_corpus_matches_per_sentence_path(kind, nprng):
             encode_and_pool(params, s, pooling, tree=trees[i] if trees else None).values
             for i, s in enumerate(seqs)
         ])
-        assert np.array_equal(pooled[pooling], oracle)
+        assert_matches_oracle(kind, pooled[pooling], oracle)
+
+
+ORACLE_CASES = [
+    ("borep", {}),
+    ("rand_lstm", {}),
+    ("esn", {"sparsity": 0.5}),
+    ("cnn", {}),
+    ("cnn", {"window": 5}),
+    ("self_attention", {}),
+    ("self_attention", {"use_pe": False}),
+    ("tree_lstm", {}),
+    ("tree_lstm", {"node_domain": "leaves"}),
+]
+
+
+def case_id(case):
+    kind, hyper = case
+    return kind + "".join(f"({k}={v})" for k, v in hyper.items())
+
+
+def mixed_parses(seqs):
+    """Right-branching parses, with a two-constituent split for every other
+    sentence of 4+ tokens, so one batch holds trees of unequal height."""
+    out = []
+    for i, seq in enumerate(seqs):
+        tokens = seq.tokens
+        if i % 2 and len(tokens) >= 4:
+            half = len(tokens) // 2
+            out.append(ParseTree(left=right_branching_parse(tokens[:half]),
+                                 right=right_branching_parse(tokens[half:])))
+        else:
+            out.append(right_branching_parse(tokens))
+    return out
+
+
+def oracle_rows(params, seqs, trees, pooling):
+    return np.array([
+        encode_and_pool(params, s, pooling, tree=trees[i] if trees else None).values
+        for i, s in enumerate(seqs)
+    ])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_encode_corpus_oracle_cases(case, nprng):
+    kind, hyper = case
+    # every length 1-14 (T=1 and T below the window-3 and window-5 CNN), then
+    # 40 sentences of one length, more than one batch holds
+    lengths = list(range(1, 15)) + [int(t) for t in nprng.integers(1, 15, 20)] + [3] * 40
+    seqs = [make_seq(nprng, t, 6) for t in lengths]
+    params = enc.build_encoder(kind, 4, 6, 16, **hyper)
+    trees = mixed_parses(seqs) if kind == "tree_lstm" else None
+    pooled = encode_corpus(params, seqs, ("max", "mean"), trees=trees)
+    for pooling in ("max", "mean"):
+        assert_matches_oracle(kind, pooled[pooling], oracle_rows(params, seqs, trees, pooling))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+def test_encode_corpus_permutation_permutes_rows(case, nprng):
+    kind, hyper = case
+    seqs = [make_seq(nprng, int(t), 6) for t in nprng.integers(1, 8, 50)]
+    params = enc.build_encoder(kind, 9, 6, 16, **hyper)
+    trees = mixed_parses(seqs) if kind == "tree_lstm" else None
+    perm = nprng.permutation(len(seqs))
+    base = encode_corpus(params, seqs, ("max", "mean"), trees=trees)
+    shuffled = encode_corpus(params, [seqs[i] for i in perm], ("max", "mean"),
+                             trees=[trees[i] for i in perm] if trees else None)
+    for pooling in ("max", "mean"):
+        assert np.abs(shuffled[pooling] - base[pooling][perm]).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("failure", ["dim", "missing_tree", "leaf_count", "non_finite"])
+def test_encode_corpus_error_parity(failure, nprng):
+    # the batched path fails as the per-sentence encode() does
+    seqs = [make_seq(nprng, t, 6) for t in (3, 5, 3, 4)]
+    kind = "borep" if failure in ("dim", "non_finite") else "tree_lstm"
+    params = enc.build_encoder(kind, 2, 6, 8)
+    trees = [right_branching_parse(s.tokens) for s in seqs] if kind == "tree_lstm" else None
+    if failure == "dim":
+        seqs[2] = make_seq(nprng, 3, 5)
+    elif failure == "missing_tree":
+        trees[2] = None
+    elif failure == "leaf_count":
+        trees[2] = right_branching_parse(["a", "b", "c", "d"])
+    else:
+        params = replace(params, w_proj=np.full_like(params.w_proj, np.nan))
+    with pytest.raises(Exception) as per_sentence:
+        for i, seq in enumerate(seqs):
+            encode(params, seq, tree=trees[i] if trees else None)
+    with pytest.raises(Exception) as batched:
+        encode_corpus(params, seqs, ("max",), trees=trees)
+    assert type(batched.value) is type(per_sentence.value)
+    assert str(batched.value) == str(per_sentence.value)
 
 
 def test_encode_and_pool_provenance(nprng):

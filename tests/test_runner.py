@@ -32,6 +32,8 @@ from randenc.tasks import (
 )
 from randenc.embeddings import write_embeddings
 
+from conftest import assert_matches_oracle
+
 
 # ---------------------------------------------------------------------------
 # encoder spec parsing
@@ -159,6 +161,8 @@ def test_config_validation():
         ExperimentConfig("e", ("t",), (spec, parse_encoder_spec("borep")))
     with pytest.raises(ConfigError, match="dims must be distinct"):
         ExperimentConfig("e", ("t",), (spec,), dims=(8, 8))
+    with pytest.raises(ConfigError, match="tasks must be distinct"):
+        ExperimentConfig("e", ("t", "t"), (spec,))
     # same kind, different hyperparameters: distinct columns of the sweep
     cnn2 = parse_encoder_spec("cnn(window=2)")
     ExperimentConfig("e", ("t",), (parse_encoder_spec("cnn"), cnn2), dims=(8, 16))
@@ -169,6 +173,34 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # sweep mechanics
 # ---------------------------------------------------------------------------
+
+
+def test_repeated_task_rejected_before_compute(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, seeds="1")
+    config = ExperimentConfig.from_file(path)
+    # a second manifest in another directory, under the same name=
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in (tmp_path / "order").iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    config = replace(config, tasks=(config.tasks[0], str(copy / "task.manifest")))
+    monkeypatch.setattr(runner, "load_embeddings", lambda *a: pytest.fail("vectors loaded"))
+    with pytest.raises(ConfigError, match="task names must be distinct"):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+
+def test_repeated_task_in_config_file_rejected(tmp_path):
+    path = stage_experiment(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    manifest = "order/task.manifest"
+    assert f"tasks={manifest}\n" in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(f"tasks={manifest}", f"tasks={manifest},{manifest}"))
+    with pytest.raises(ConfigError, match="tasks must be distinct"):
+        ExperimentConfig.from_file(path)
 
 
 def test_sweep_cardinality_and_order(tmp_path):
@@ -312,14 +344,15 @@ def test_poolings_together_match_separate_runs(tmp_path, pair):
 
 
 def count_encodes(monkeypatch):
+    # encode_corpus reaches every sentence through its kind's batch encoder
     calls = Counter()
-    original = enc.encode
+    for kind, entry in list(enc.KINDS.items()):
+        def counting(params, seqs, trees, original=entry.encode_batch):
+            for seq in seqs:
+                calls[(params.kind, params.out_dim, params.seed, id(seq))] += 1
+            return original(params, seqs, trees)
 
-    def counting(params, seq, tree=None):
-        calls[(params.kind, params.out_dim, params.seed, id(seq))] += 1
-        return original(params, seq, tree=tree)
-
-    monkeypatch.setattr(enc, "encode", counting)
+        monkeypatch.setitem(enc.KINDS, kind, entry._replace(encode_batch=counting))
     return calls
 
 
@@ -338,6 +371,29 @@ def test_each_sentence_encoded_once_per_job(tmp_path, monkeypatch, pair, pooling
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
+def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
+    path = stage_experiment(tmp_path, n=40, pair=True)
+    config = ExperimentConfig.from_file(path)
+    dataset = runner.load_task(config.tasks[0])
+    prepared = runner._prepare_task(config, dataset, runner.load_embeddings(config.embeddings))
+    hyper = {"sparsity": 0.5} if kind == "esn" else {}
+    params = enc.build_encoder(kind, 3, 8, 16, **hyper)
+    xs, xs2 = runner._encode_all(params, prepared, ("max", "mean"))
+    on_trees = kind == "tree_lstm"
+    corpora = [
+        (xs, prepared.tree_seqs if on_trees else prepared.seqs, dataset.trees),
+        (xs2, prepared.tree_seqs2 if on_trees else prepared.seqs2, dataset.trees2),
+    ]
+    for pooled, seqs, trees in corpora:
+        for pooling in ("max", "mean"):
+            oracle = np.array([
+                enc.encode_and_pool(params, seq, pooling, tree=tree if on_trees else None).values
+                for seq, tree in zip(seqs, trees)
+            ])
+            assert_matches_oracle(kind, pooled[pooling], oracle)
+
+
 def test_build_failure_marks_every_pooling_row(tmp_path):
     # heads=3 cannot divide dim=16: the whole job fails, both poolings
     path = stage_experiment(tmp_path, encoders="borep,self_attention(heads=3)",
@@ -351,14 +407,11 @@ def test_build_failure_marks_every_pooling_row(tmp_path):
 
 
 def test_encode_failure_marks_every_pooling_row(tmp_path, monkeypatch):
-    original = enc.encode
+    def failing(params, seqs, trees):
+        raise ArithmeticError("rand_lstm: non-finite values in encoder output")
 
-    def failing(params, seq, tree=None):
-        if params.kind == "rand_lstm":
-            raise ArithmeticError("rand_lstm: non-finite values in encoder output")
-        return original(params, seq, tree=tree)
-
-    monkeypatch.setattr(enc, "encode", failing)
+    entry = enc.KINDS["rand_lstm"]
+    monkeypatch.setitem(enc.KINDS, "rand_lstm", entry._replace(encode_batch=failing))
     path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1",
                             poolings="max,mean")
     result = run_experiment(ExperimentConfig.from_file(path))

@@ -218,6 +218,34 @@ def test_trees_count_mismatch(tmp_path):
         load_task(manifest)
 
 
+def test_tree_leaf_count_mismatch_names_trees_file_line(tmp_path):
+    # line 4 (the third parse, after a blank line) has 4 leaves for "a b c"
+    trees = write(
+        tmp_path / "trees.txt",
+        "(W x)\n(W y)\n\n(S (W a) (W b) (W c) (W d))\n(W w)\n(W q)\n",
+    )
+    manifest = single_task_dir(
+        tmp_path, "a\tx\nb\ty\n", "a\tA B C\nb\tw\n", "a\tq\n",
+        extra="trees=trees.txt\n",
+    )
+    with pytest.raises(TaskFormatError) as err:
+        load_task(manifest)
+    assert str(err.value) == f"{trees}:4: tree has 4 leaves but the text has 3 tokens"
+
+
+def test_trees2_leaf_count_mismatch_rejected(tmp_path):
+    write(tmp_path / "trees.txt", "(W x)\n(W y)\n")
+    trees2 = write(tmp_path / "trees2.txt", "(S (W u) (W v))\n(W z)\n")
+    write(tmp_path / "data.tsv", "a\tx\tu\nb\ty\tz w\n")
+    manifest = write(
+        tmp_path / "task.manifest",
+        "name=p\nkind=pair\ndata=data.tsv\nsplit=cv2\ntrees=trees.txt\ntrees2=trees2.txt\n",
+    )
+    with pytest.raises(TaskFormatError) as err:
+        load_task(manifest)
+    assert str(err.value) == f"{trees2}:1: tree has 2 leaves but the text has 1 tokens"
+
+
 def test_trees2_on_single_task_rejected(tmp_path):
     write(tmp_path / "trees2.txt", "(W hello)\n")
     manifest = single_task_dir(
