@@ -27,7 +27,6 @@ def main():
     ap.add_argument("--poolings", default="max")
     ap.add_argument("--seeds", default="1,2,3,4,5")
     ap.add_argument("--encoders", default=ALL_ENCODERS)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--timing", action="store_true", help="record wall_ms per tuple")
     args = ap.parse_args()
 
@@ -49,7 +48,6 @@ def main():
             f"poolings={args.poolings}\n"
             f"seeds={args.seeds}\n"
             "output_dir=out\n"
-            f"workers={args.workers}\n"
             f"timing={'on' if args.timing else 'off'}\n"
         )
     print(f"wrote {config_path}")

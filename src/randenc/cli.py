@@ -12,9 +12,10 @@ import argparse
 import sys
 
 from . import __version__
-from .embeddings import clean_tokens, embed_sentence, load_embeddings, tokenize
-from .encoders import ConfigError, build_encoder, encode_and_pool
-from .runner import ExperimentConfig, parse_encoder_spec, run_experiment
+from .embeddings import load_embeddings
+from .encoders import ConfigError, build_encoder, encode_corpus
+from .runner import ExperimentConfig, parse_encoder_spec, prepare_texts, run_experiment
+from .tasks import read_parses
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,36 +64,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# Lines per encode_corpus call: bounds the embedded sentences and pooled
+# rows held at once, whatever the input's length.
+_ENCODE_BLOCK = 256
+
+
 def _cmd_encode(args) -> int:
     spec = parse_encoder_spec(args.encoder)
-    table = load_embeddings(args.embeddings)
+    on_trees = spec.kind == "tree_lstm"
+    # every input line is checked before the vectors load or the output opens
     with open(args.input, encoding="utf-8") as fh:
         sentences = [line.rstrip("\n") for line in fh]
-
-    oov = args.oov
-    clean = args.clean
-    parse_list = None
-    if spec.kind == "tree_lstm":
-        clean = True
+    for line_no, sentence in enumerate(sentences, start=1):
+        if not sentence.split():
+            raise ValueError(f"{args.input}:{line_no}: empty line")
+    parses = [None] * len(sentences)
+    if on_trees:
         if not args.trees:
             raise ConfigError("tree_lstm encoding requires --trees")
-        from .trees import read_tree_file
-
-        parse_list = read_tree_file(args.trees)
-        if len(parse_list) != len(sentences):
-            raise ConfigError(
-                f"--trees has {len(parse_list)} parses for {len(sentences)} sentences"
-            )
-        oov = "zero"  # keep leaves aligned with tokens
+        parses = read_parses(args.trees, sentences)
+    table = load_embeddings(args.embeddings)
 
     if args.load_params:
         from .checkpoint import load_encoder
 
         params = load_encoder(args.load_params)
-        if params.kind != spec.kind or params.out_dim != args.dim:
+        if (params.kind, params.in_dim, params.out_dim) != (spec.kind, table.dim, args.dim):
             raise ConfigError(
-                f"checkpoint holds {params.kind}/D'={params.out_dim}, "
-                f"asked for {spec.kind}/D'={args.dim}"
+                f"checkpoint holds {params.kind} with D={params.in_dim}, D'={params.out_dim}; "
+                f"asked for {spec.kind} with D={table.dim}, D'={args.dim}"
             )
     else:
         params = build_encoder(spec.kind, args.seed, table.dim, args.dim, **spec.hyper_dict())
@@ -102,14 +102,13 @@ def _cmd_encode(args) -> int:
         save_encoder(args.save_params, params)
 
     with open(args.output, "w", encoding="utf-8") as out:
-        for i, sentence in enumerate(sentences, start=1):
-            tokens = tokenize(sentence, lowercase=not args.no_lowercase)
-            if clean:
-                tokens = clean_tokens(tokens)
-            seq = embed_sentence(table, tokens, oov=oov)
-            tree = parse_list[i - 1] if parse_list is not None else None
-            emb = encode_and_pool(params, seq, args.pooling, tree=tree)
-            out.write(" ".join([str(i)] + [f"{v:.17g}" for v in emb.values]) + "\n")
+        for lo in range(0, len(sentences), _ENCODE_BLOCK):
+            block = slice(lo, lo + _ENCODE_BLOCK)
+            seqs = prepare_texts(table, sentences[block], tree=on_trees, oov=args.oov,
+                                 lowercase=not args.no_lowercase, clean=args.clean)
+            pooled = encode_corpus(params, list(seqs), (args.pooling,), trees=parses[block])
+            for i, row in enumerate(pooled[args.pooling], start=lo + 1):
+                out.write(" ".join([str(i)] + [f"{v:.17g}" for v in row]) + "\n")
     print(f"wrote {len(sentences)} embeddings to {args.output}")
     return 0
 

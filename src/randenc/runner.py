@@ -10,9 +10,9 @@ Outputs in the configured directory:
   summary.csv  per (task, encoder, dim, pooling): mean, sample sd, n over seeds
   errors.csv   written only when tuples failed (same key columns + message)
 
-Rows are sorted canonically (task, encoder, dim, pooling, seed) regardless
-of worker schedule, and accuracy cells use repr(float), so identical
-configs reproduce identical bytes (set timing=off to also pin wall_ms).
+Rows are sorted canonically (task, encoder, dim, pooling, seed), and
+accuracy cells use repr(float), so identical configs reproduce identical
+bytes (set timing=off to also pin wall_ms).
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import encoders as enc
 from .embeddings import (
+    TokenSequence,
     WordEmbeddingTable,
     clean_tokens,
     embed_sentence,
@@ -45,6 +45,7 @@ __all__ = [
     "SummaryRow",
     "ExperimentResult",
     "parse_encoder_spec",
+    "prepare_texts",
     "run_experiment",
     "aggregate",
     "write_results_csv",
@@ -111,6 +112,18 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
     return EncoderSpec(kind, tuple(hyper), token)
 
 
+# config-file keys: the ExperimentConfig fields plus the probe's settings
+_PROBE_INT_KEYS = {
+    "probe_hidden": "hidden", "max_epochs": "max_epochs", "patience": "patience",
+    "eval_interval": "eval_interval", "probe_seed": "seed",
+}
+_CONFIG_KEYS = {
+    "embeddings", "tasks", "encoders", "dims", "poolings", "seeds", "probe",
+    "l2_grid", "output_dir", "timing", "oov", "lowercase", "clean", *_PROBE_INT_KEYS,
+}
+_REMOVED_KEYS = {"workers": "jobs run one after another; threads made sweeps slower"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     embeddings: str
@@ -121,7 +134,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     output_dir: str = "out"
-    workers: int = 1
     timing: bool = True
     oov: str = "drop"
     lowercase: bool = True
@@ -149,8 +161,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown pooling {p!r}; expected subset of {enc.POOLINGS}")
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive, got {self.dims}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.oov not in ("drop", "zero"):
             raise ConfigError(f"oov policy must be drop or zero, got {self.oov!r}")
 
@@ -160,6 +170,7 @@ class ExperimentConfig:
         are comma-separated; paths resolve relative to the config file."""
         base = os.path.dirname(os.path.abspath(path))
         entries: dict[str, str] = {}
+        line_of: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()
@@ -169,19 +180,19 @@ class ExperimentConfig:
                     raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
                 key, _, value = stripped.partition("=")
                 key = key.strip()
+                if key in _REMOVED_KEYS:
+                    raise ConfigError(f"{path}:{line_no}: config key {key!r} was removed: "
+                                      f"{_REMOVED_KEYS[key]}")
+                if key not in _CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
                 if key in entries:
                     raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
                 entries[key] = value.strip()
+                line_of[key] = line_no
 
-        known = {
-            "embeddings", "tasks", "encoders", "dims", "poolings", "seeds",
-            "probe", "probe_hidden", "max_epochs", "patience", "eval_interval",
-            "probe_seed", "l2_grid", "output_dir", "workers", "timing", "oov",
-            "lowercase", "clean",
-        }
-        for key in entries:
-            if key not in known:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
+        def where(key: str) -> str:
+            return f"{path}:{line_of[key]}"
+
         for key in ("embeddings", "tasks", "encoders"):
             if key not in entries:
                 raise ConfigError(f"{path}: config is missing {key}=")
@@ -202,21 +213,21 @@ class ExperimentConfig:
             parts.append("".join(current))
             return [p.strip() for p in parts if p.strip()]
 
+        def numbers(key: str, convert, values: list[str]) -> tuple:
+            try:
+                return tuple(convert(v) for v in values)
+            except ValueError:
+                raise ConfigError(f"{where(key)}: {key}= takes {convert.__name__} "
+                                  f"values, got {entries[key]!r}") from None
+
         probe_kwargs = {}
         if "probe" in entries:
             probe_kwargs["kind"] = entries["probe"]
-        if "probe_hidden" in entries:
-            probe_kwargs["hidden"] = int(entries["probe_hidden"])
-        if "max_epochs" in entries:
-            probe_kwargs["max_epochs"] = int(entries["max_epochs"])
-        if "patience" in entries:
-            probe_kwargs["patience"] = int(entries["patience"])
-        if "eval_interval" in entries:
-            probe_kwargs["eval_interval"] = int(entries["eval_interval"])
-        if "probe_seed" in entries:
-            probe_kwargs["seed"] = int(entries["probe_seed"])
+        for key, name in _PROBE_INT_KEYS.items():
+            if key in entries:
+                (probe_kwargs[name],) = numbers(key, int, [entries[key]])
         if "l2_grid" in entries:
-            probe_kwargs["l2_grid"] = tuple(float(v) for v in split_list("l2_grid"))
+            probe_kwargs["l2_grid"] = numbers("l2_grid", float, split_list("l2_grid"))
 
         kwargs: dict = {
             "embeddings": os.path.join(base, entries["embeddings"]),
@@ -225,19 +236,19 @@ class ExperimentConfig:
             "probe": ProbeConfig(**probe_kwargs),
         }
         if "dims" in entries:
-            kwargs["dims"] = tuple(int(v) for v in split_list("dims"))
+            kwargs["dims"] = numbers("dims", int, split_list("dims"))
         if "poolings" in entries:
             kwargs["poolings"] = tuple(split_list("poolings"))
         if "seeds" in entries:
-            kwargs["seeds"] = tuple(int(v) for v in split_list("seeds"))
+            kwargs["seeds"] = numbers("seeds", int, split_list("seeds"))
         if "output_dir" in entries:
             kwargs["output_dir"] = os.path.join(base, entries["output_dir"])
-        if "workers" in entries:
-            kwargs["workers"] = int(entries["workers"])
         for flag in ("timing", "lowercase", "clean"):
             if flag in entries:
                 if entries[flag] not in ("on", "off"):
-                    raise ConfigError(f"{path}: {flag}= must be on or off")
+                    raise ConfigError(
+                        f"{where(flag)}: {flag}= must be on or off, got {entries[flag]!r}"
+                    )
                 kwargs[flag] = entries[flag] == "on"
         if "oov" in entries:
             kwargs["oov"] = entries["oov"]
@@ -286,59 +297,47 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PreparedTask:
-    """Per-task embedded sentences, shared across all sweep tuples.
-
-    The sequence path follows the configured cleanup/OOV policy; the tree
-    path always cleans (the corpus rules are stated for that encoder) and
-    maps OOV tokens to zero rows so leaves stay aligned with the parse.
-    """
-
-    dataset: TaskDataset
-    seqs: tuple  # TokenSequence per example (first sentence)
-    seqs2: tuple | None  # pair second sentences
-    tree_seqs: tuple | None
-    tree_seqs2: tuple | None
+def prepare_texts(
+    table: WordEmbeddingTable, texts, *, tree: bool, oov: str, lowercase: bool, clean: bool,
+) -> tuple[TokenSequence, ...]:
+    """Tokenize, clean and embed each text, for the sweep and `randenc encode`.
+    The tree path always cleans (the corpus rules are stated for that
+    encoder) and maps OOV tokens to zero rows, keeping leaves aligned with
+    the parse; clean and oov set the sequence path."""
+    if tree:
+        clean, oov = True, "zero"
+    out = []
+    for text in texts:
+        tokens = tokenize(text, lowercase=lowercase)
+        if clean:
+            tokens = clean_tokens(tokens)
+        out.append(embed_sentence(table, tokens, oov=oov))
+    return tuple(out)
 
 
 def _prepare_task(config: ExperimentConfig, dataset: TaskDataset,
-                  table: WordEmbeddingTable) -> _PreparedTask:
-    def prep(texts, for_tree: bool):
-        out = []
-        for text in texts:
-            tokens = tokenize(text, lowercase=config.lowercase)
-            if for_tree or config.clean:
-                tokens = clean_tokens(tokens)
-            policy = "zero" if for_tree else config.oov
-            out.append(embed_sentence(table, tokens, oov=policy))
-        return tuple(out)
-
-    is_pair = dataset.kind == "pair"
-    seqs = prep(dataset.texts, False)
-    seqs2 = prep(dataset.texts2, False) if is_pair else None
-    tree_seqs = prep(dataset.texts, True) if dataset.trees is not None else None
-    tree_seqs2 = prep(dataset.texts2, True) if is_pair and dataset.trees2 is not None else None
-    return _PreparedTask(dataset, seqs, seqs2, tree_seqs, tree_seqs2)
+                  table: WordEmbeddingTable) -> dict[bool, list]:
+    """A task's corpora, prepared once for all its jobs and keyed by whether
+    they feed the tree path: (TokenSequences, parses or None) per corpus,
+    two for pair tasks. A path no swept kind reads is left out."""
+    corpora = [(dataset.texts, dataset.trees)]
+    if dataset.kind == "pair":
+        corpora.append((dataset.texts2, dataset.trees2))
+    paths = sorted({spec.kind == "tree_lstm" for spec in config.encoders})
+    return {
+        tree: [
+            (prepare_texts(table, texts, tree=tree, oov=config.oov,
+                           lowercase=config.lowercase, clean=config.clean),
+             parses if tree else None)
+            for texts, parses in corpora
+        ]
+        for tree in paths
+    }
 
 
 # ---------------------------------------------------------------------------
 # Job execution.
 # ---------------------------------------------------------------------------
-
-
-def _encode_all(params, prepared: _PreparedTask, poolings):
-    """One encode pass over the task's corpus and, for pair tasks, its second
-    corpus: ({pooling: x}, {pooling: x2}), the second None for single tasks."""
-    ds = prepared.dataset
-    on_trees = params.kind == "tree_lstm"
-    seqs = prepared.tree_seqs if on_trees else prepared.seqs
-    xs = enc.encode_corpus(params, list(seqs), poolings, trees=ds.trees if on_trees else None)
-    if ds.kind != "pair":
-        return xs, None
-    seqs2 = prepared.tree_seqs2 if on_trees else prepared.seqs2
-    xs2 = enc.encode_corpus(params, list(seqs2), poolings, trees=ds.trees2 if on_trees else None)
-    return xs, xs2
 
 
 def _probe_accuracy(x: np.ndarray, y: np.ndarray, plan: SplitPlan, config: ProbeConfig) -> float:
@@ -353,10 +352,10 @@ def _describe(exc: Exception) -> str:
 
 
 def _run_job(
-    prepared: _PreparedTask, spec: EncoderSpec, dim: int, seed: int,
-    poolings: tuple[str, ...], probe_config: ProbeConfig, timing: bool,
+    dataset: TaskDataset, corpora: dict[bool, list], spec: EncoderSpec, in_dim: int,
+    dim: int, seed: int, config: ExperimentConfig,
 ) -> list[ResultRow]:
-    """One (task, encoder, dim, seed) job: build the encoder and encode the
+    """One (task, encoder, dim, seed) job: build the encoder and encode each
     corpus once, then train one probe per pooling; one row per pooling.
 
     Crash isolation: a build or encode failure marks every row of the job, a
@@ -364,33 +363,33 @@ def _run_job(
     encode time plus its own probe time, i.e. what the tuple would cost if
     run alone.
     """
-    ds = prepared.dataset
 
     def row(pooling: str, accuracy: float, seconds: float, error: str = "") -> ResultRow:
-        wall_ms = int(round(seconds * 1000)) if timing else 0
-        return ResultRow(ds.name, spec.label, dim, pooling, seed, accuracy, wall_ms, error)
+        wall_ms = int(round(seconds * 1000)) if config.timing else 0
+        return ResultRow(dataset.name, spec.label, dim, pooling, seed, accuracy, wall_ms, error)
 
     start = time.perf_counter()
     try:
-        params = enc.build_encoder(
-            spec.kind, seed, prepared.seqs[0].dim, dim, **spec.hyper_dict()
-        )
-        xs, xs2 = _encode_all(params, prepared, poolings)
+        params = enc.build_encoder(spec.kind, seed, in_dim, dim, **spec.hyper_dict())
+        pooled = [
+            enc.encode_corpus(params, list(seqs), config.poolings, trees=parses)
+            for seqs, parses in corpora[spec.kind == "tree_lstm"]
+        ]
     except Exception as exc:  # crash isolation: one bad job never kills the sweep
         shared = time.perf_counter() - start
-        return [row(p, float("nan"), shared, _describe(exc)) for p in poolings]
+        return [row(p, float("nan"), shared, _describe(exc)) for p in config.poolings]
     shared = time.perf_counter() - start
 
-    y = ds.label_indices
-    config = replace(probe_config, seed=seed)
+    y = dataset.label_indices
+    probe_config = replace(config.probe, seed=seed)
     rows = []
-    for pooling in poolings:
+    for pooling in config.poolings:
         probe_start = time.perf_counter()
         accuracy, error = float("nan"), ""
         try:
-            x = xs.pop(pooling)  # drop each matrix once its probe has it
-            features = x if xs2 is None else pair_features(x, xs2.pop(pooling))
-            accuracy = _probe_accuracy(features, y, ds.plan, config)
+            xs = [by_pooling.pop(pooling) for by_pooling in pooled]  # freed once probed
+            features = pair_features(*xs) if len(xs) == 2 else xs[0]
+            accuracy = _probe_accuracy(features, y, dataset.plan, probe_config)
         except Exception as exc:
             error = _describe(exc)
         rows.append(row(pooling, accuracy, shared + time.perf_counter() - probe_start, error))
@@ -417,23 +416,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     table = load_embeddings(config.embeddings)
     prepared = [_prepare_task(config, ds, table) for ds in datasets]
 
-    jobs = [
-        (p, spec, dim, seed)
-        for p in prepared
+    rows = [
+        row
+        for ds, corpora in zip(datasets, prepared)
         for spec in config.encoders
         for dim in config.dims
         for seed in config.seeds
+        for row in _run_job(ds, corpora, spec, table.dim, dim, seed, config)
     ]
-
-    def run(job):
-        p, spec, dim, seed = job
-        return _run_job(p, spec, dim, seed, config.poolings, config.probe, config.timing)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = [r for job_rows in pool.map(run, jobs) for r in job_rows]
-    else:
-        rows = [r for job in jobs for r in run(job)]
     rows.sort(key=lambda r: r.sort_key)
     summary = aggregate(rows)
     result = ExperimentResult(tuple(rows), tuple(summary))

@@ -26,6 +26,7 @@ __all__ = [
     "TaskDataset",
     "load_task",
     "load_manifest",
+    "read_parses",
     "order_label",
     "make_synthetic_order_task",
     "synthetic_vocabulary",
@@ -211,40 +212,49 @@ def load_task(manifest_path: str) -> TaskDataset:
 
     trees = trees2 = None
     if "trees" in entries:
-        trees = tuple(read_tree_file(resolve(entries["trees"])))
-        if len(trees) != len(texts):
-            raise TaskFormatError(
-                f"{manifest_path}: trees file has {len(trees)} parses "
-                f"for {len(texts)} examples"
-            )
-        _check_leaf_counts(resolve(entries["trees"]), trees, texts)
+        trees = read_parses(resolve(entries["trees"]), texts)
     if "trees2" in entries:
         if kind != "pair":
             raise TaskFormatError(f"{manifest_path}: trees2= only applies to pair tasks")
-        trees2 = tuple(read_tree_file(resolve(entries["trees2"])))
-        if len(trees2) != len(texts):
-            raise TaskFormatError(
-                f"{manifest_path}: trees2 file has {len(trees2)} parses "
-                f"for {len(texts)} examples"
-            )
-        _check_leaf_counts(resolve(entries["trees2"]), trees2, texts2)
+        trees2 = read_parses(resolve(entries["trees2"]), texts2)
     return TaskDataset(
         name, kind, tuple(texts), tuple(texts2) if texts2 is not None else None,
         tuple(labels), classes, plan, trees, trees2,
     )
 
 
+def read_parses(path: str, texts) -> tuple[ParseTree, ...]:
+    """The parses in path, one per text in order; a wrong parse count or
+    leaf count names path:line, blank lines counted."""
+    parses = tuple(read_tree_file(path))
+    if len(parses) != len(texts):
+        lines = _parse_lines(path)
+        if len(parses) > len(texts):
+            line_no = lines[len(texts)]  # the first parse without a text
+        else:
+            line_no = lines[-1] + 1 if lines else 1  # where the next parse belongs
+        raise TaskFormatError(
+            f"{path}:{line_no}: {len(parses)} parses for {len(texts)} texts; "
+            "need one parse per text"
+        )
+    _check_leaf_counts(path, parses, texts)
+    return parses
+
+
+def _parse_lines(path: str) -> list[int]:
+    """The line number of each parse read_tree_file returns."""
+    with open(path, encoding="utf-8") as fh:
+        return [n for n, line in enumerate(fh, start=1) if line.strip()]
+
+
 def _check_leaf_counts(path: str, parses, texts) -> None:
     """Every parse needs one leaf per whitespace token of its text: the tree
-    path encodes that many tokens (lowercasing and cleanup keep the count).
-    A mismatch names the parse's line in path, blank lines counted."""
+    path encodes that many tokens (lowercasing and cleanup keep the count)."""
     for index, (tree, text) in enumerate(zip(parses, texts)):
         n_leaves, n_tokens = tree.leaf_count, len(text.split())
         if n_leaves != n_tokens:
-            with open(path, encoding="utf-8") as fh:
-                parse_lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
             raise TaskFormatError(
-                f"{path}:{parse_lines[index]}: tree has {n_leaves} leaves "
+                f"{path}:{_parse_lines(path)[index]}: tree has {n_leaves} leaves "
                 f"but the text has {n_tokens} tokens"
             )
 

@@ -2,7 +2,10 @@
 
 import importlib
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,9 @@ import randenc
 from randenc import selfcheck
 from randenc.cli import main
 from randenc.encoders import ENCODER_KINDS
+from randenc.runner import RESULTS_HEADER
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -45,3 +51,16 @@ def test_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_desk_sweep_quick_start_runs(tmp_path):
+    # the README quick start, shrunk to about a second
+    work = tmp_path / "desk"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "desk_sweep.py"), "--n", "40", "--dims", "8",
+         "--seeds", "1", "--encoders", "borep,tree_lstm", "--work", str(work)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header = (work / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == RESULTS_HEADER

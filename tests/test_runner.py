@@ -129,10 +129,44 @@ def test_from_file_resolves_paths_and_flags(tmp_path):
     assert [s.kind for s in config.encoders] == ["borep", "rand_lstm"]
 
 
-def test_from_file_unknown_key(tmp_path):
-    path = stage_experiment(tmp_path, extra="fancices=1\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
+# case -> (config line, expected message)
+BAD_CONFIG_LINES = {
+    "unknown_key": ("fancices=1", "unknown config key 'fancices'"),
+    "removed_workers": ("workers=2", "config key 'workers' was removed"),
+    "timing": ("timing=maybe", "timing= must be on or off, got 'maybe'"),
+    "lowercase": ("lowercase=yes", "lowercase= must be on or off, got 'yes'"),
+    "clean": ("clean=1", "clean= must be on or off, got '1'"),
+    "dims": ("dims=4,abc", "dims= takes int values, got '4,abc'"),
+    "seeds": ("seeds=1,2.5", "seeds= takes int values, got '1,2.5'"),
+    "max_epochs": ("max_epochs=lots", "max_epochs= takes int values"),
+    "patience": ("patience=", "patience= takes int values, got ''"),
+    "eval_interval": ("eval_interval=1e3", "eval_interval= takes int values"),
+    "probe_seed": ("probe_seed=x", "probe_seed= takes int values"),
+    "probe_hidden": ("probe_hidden=50.0", "probe_hidden= takes int values"),
+    "l2_grid": ("l2_grid=0.1,big", "l2_grid= takes float values, got '0.1,big'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_LINES)
+def test_from_file_error_names_line(tmp_path, case):
+    line, message = BAD_CONFIG_LINES[case]
+    key = line.partition("=")[0]
+    # a key stage_experiment writes is replaced on its own line, others appended
+    path = stage_experiment(tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    keys = [existing.partition("=")[0] for existing in lines]
+    if key in keys:
+        lines[keys.index(key)] = line
+    else:
+        lines.append(line)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    line_no = lines.index(line) + 1
+    with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_file(path)
+    assert str(err.value).startswith(f"{path}:{line_no}: ")
+    assert message in str(err.value)
 
 
 def test_from_file_missing_required(tmp_path):
@@ -301,15 +335,6 @@ def test_tree_lstm_without_trees_fails_fast(tmp_path):
         run_experiment(config)
 
 
-def test_workers_do_not_change_results(tmp_path):
-    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1,2",
-                            poolings="max,mean")
-    config = ExperimentConfig.from_file(path)
-    serial = run_experiment(config)
-    threaded = run_experiment(replace(config, workers=4))
-    assert serial.rows == threaded.rows
-
-
 # ---------------------------------------------------------------------------
 # one encode per (task, encoder, dim, seed) job, every pooling from it
 # ---------------------------------------------------------------------------
@@ -373,25 +398,51 @@ def test_each_sentence_encoded_once_per_job(tmp_path, monkeypatch, pair, pooling
 
 @pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
 def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
-    path = stage_experiment(tmp_path, n=40, pair=True)
+    hyper = "(sparsity=0.5)" if kind == "esn" else ""
+    path = stage_experiment(tmp_path, n=40, pair=True, encoders=kind + hyper)
     config = ExperimentConfig.from_file(path)
     dataset = runner.load_task(config.tasks[0])
-    prepared = runner._prepare_task(config, dataset, runner.load_embeddings(config.embeddings))
-    hyper = {"sparsity": 0.5} if kind == "esn" else {}
-    params = enc.build_encoder(kind, 3, 8, 16, **hyper)
-    xs, xs2 = runner._encode_all(params, prepared, ("max", "mean"))
+    table = runner.load_embeddings(config.embeddings)
     on_trees = kind == "tree_lstm"
-    corpora = [
-        (xs, prepared.tree_seqs if on_trees else prepared.seqs, dataset.trees),
-        (xs2, prepared.tree_seqs2 if on_trees else prepared.seqs2, dataset.trees2),
+    corpora = runner._prepare_task(config, dataset, table)[on_trees]
+    params = enc.build_encoder(kind, 3, 8, 16, **config.encoders[0].hyper_dict())
+    pooled_pair = [
+        enc.encode_corpus(params, list(seqs), ("max", "mean"), trees=parses)
+        for seqs, parses in corpora
     ]
-    for pooled, seqs, trees in corpora:
+    assert len(pooled_pair) == 2
+    for pooled, texts, trees in zip(pooled_pair, (dataset.texts, dataset.texts2),
+                                    (dataset.trees, dataset.trees2)):
+        seqs = runner.prepare_texts(table, texts, tree=on_trees, oov=config.oov,
+                                    lowercase=config.lowercase, clean=config.clean)
         for pooling in ("max", "mean"):
             oracle = np.array([
                 enc.encode_and_pool(params, seq, pooling, tree=tree if on_trees else None).values
                 for seq, tree in zip(seqs, trees)
             ])
             assert_matches_oracle(kind, pooled[pooling], oracle)
+
+
+@pytest.mark.parametrize("encoders, policies", [
+    ("borep", {"drop": 1}),
+    ("tree_lstm", {"zero": 1}),
+    ("borep,tree_lstm", {"drop": 1, "zero": 1}),
+])
+def test_each_swept_path_prepared_once(tmp_path, monkeypatch, encoders, policies):
+    # the sequence path embeds with oov=drop, the tree path with oov=zero
+    n = 20
+    path = stage_experiment(tmp_path, n=n, encoders=encoders, seeds="1")
+    original = runner.embed_sentence
+    calls = Counter()
+
+    def counting(table, tokens, oov):
+        calls[oov] += 1
+        return original(table, tokens, oov=oov)
+
+    monkeypatch.setattr(runner, "embed_sentence", counting)
+    result = run_experiment(ExperimentConfig.from_file(path))
+    assert not result.errors
+    assert calls == {oov: count * n for oov, count in policies.items()}
 
 
 def test_build_failure_marks_every_pooling_row(tmp_path):
