@@ -74,8 +74,8 @@ def xavier_uniform_init(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-d array (attention weights, probe class
-    probabilities); unchecked, shift-invariant per row."""
+    """Row-wise softmax of a 2-d array (attention weights); unchecked,
+    shift-invariant per row."""
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import SeededRng, softmax_rows, uniform_init
+from .numerics import SeededRng, uniform_init
 
 __all__ = [
     "DegenerateTaskError",
@@ -129,11 +129,6 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _forward(params, x: np.ndarray, kind: str):
     if kind == "logreg":
         return x @ params[0].T + params[1], None
@@ -143,12 +138,20 @@ def _forward(params, x: np.ndarray, kind: str):
 
 def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2: float, kind: str):
     """Mean cross-entropy + (l2/2) * sum of squared weight-matrix entries
-    (biases unpenalized). Returns (loss, [grad per param])."""
+    (biases unpenalized). Returns (loss, [grad per param]).
+
+    One max-shifted exp serves both: log p(y) = shifted[y] - log(sum), and
+    the logit gradient is (softmax - one_hot(y)) / n."""
     n = x.shape[0]
+    rows = np.arange(n)
     logits, hidden = _forward(params, x, kind)
-    log_p = _log_softmax_rows(logits)
-    loss = -log_p[np.arange(n), y].mean()
-    delta = (softmax_rows(logits) - _one_hot(y, logits.shape[1])) / n
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(shifted[rows, y] - np.log(total[:, 0])).mean()
+    delta = e / total
+    delta[rows, y] -= 1.0
+    delta /= n
     if kind == "logreg":
         w = params[0]
         loss += 0.5 * l2 * float((w * w).sum())
@@ -161,12 +164,6 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2: float, kind: str):
     grad_w1 = back.T @ x + l2 * w1
     grad_b1 = back.sum(axis=0)
     return loss, [grad_w1, grad_b1, grad_w2, grad_b2]
-
-
-def _one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], n_classes))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
 
 
 def init_params(kind: str, n_features: int, n_classes: int, hidden: int, seed: int):
@@ -273,13 +270,14 @@ def train_probe(
     plan: SplitPlan,
     config: ProbeConfig,
 ):
-    """Train under a split plan; returns (ProbeModel, TrainReport).
+    """Train under a tv split plan; returns (ProbeModel, TrainReport).
 
-    tv plans fit the l2 grid on the dev set and report test accuracy on
-    the held-out test indices. cv plans report the stratified k-fold mean
-    accuracy and return a final model refit on all examples at the
-    most-frequently chosen fold l2 (ties to smaller).
+    The l2 grid is fit on the dev set, and the report carries test accuracy
+    on the held-out test indices. cv plans are scored by kfold_accuracy.
     """
+    if plan.kind != "tv":
+        raise ValueError(f"train_probe takes tv split plans; score a {plan.kind} plan "
+                         "with kfold_accuracy")
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("embeddings must be a 2-d array, one row per example")
@@ -289,30 +287,13 @@ def train_probe(
     if x.shape[0] != y.shape[0]:
         raise ValueError("embeddings and labels must align one to one")
 
-    if plan.kind == "tv":
-        tr, dv, te = (np.array(ix, dtype=np.int64) for ix in (plan.train, plan.dev, plan.test))
-        n_classes = _n_train_classes(y[tr])
-        _check_labels(y[dv], n_classes, "dev")
-        _check_labels(y[te], n_classes, "test")
-        model, report = _fit_l2_grid(x[tr], y[tr], x[dv], y[dv], config, n_classes)
-        test_acc = evaluate(model, x[te], y[te]) if te.size else None
-        return model, replace(report, test_accuracy=test_acc)
-
-    mean_acc, fold_l2s = _kfold(x, y, plan.folds, config)
-    chosen = _majority_l2(fold_l2s)
-    n_classes = _n_train_classes(y)
-    params, acc, epochs, history = fit(x, y, x, y, config, n_classes, chosen)
-    model = ProbeModel(config.kind, chosen, tuple(p.copy() for p in params))
-    report = TrainReport(epochs, acc, chosen, test_accuracy=mean_acc, loss_history=history)
-    return model, report
-
-
-def _majority_l2(fold_l2s: list[float]) -> float:
-    counts: dict[float, int] = {}
-    for l2 in fold_l2s:
-        counts[l2] = counts.get(l2, 0) + 1
-    top = max(counts.values())
-    return min(l2 for l2, c in counts.items() if c == top)
+    tr, dv, te = (np.array(ix, dtype=np.int64) for ix in (plan.train, plan.dev, plan.test))
+    n_classes = _n_train_classes(y[tr])
+    _check_labels(y[dv], n_classes, "dev")
+    _check_labels(y[te], n_classes, "test")
+    model, report = _fit_l2_grid(x[tr], y[tr], x[dv], y[dv], config, n_classes)
+    test_acc = evaluate(model, x[te], y[te]) if te.size else None
+    return model, replace(report, test_accuracy=test_acc)
 
 
 def _n_train_classes(y_train: np.ndarray) -> int:
@@ -384,10 +365,13 @@ def _inner_dev_split(y_train: np.ndarray, seed: int):
     return np.concatenate(train_parts), np.concatenate(dev_parts)
 
 
-def _kfold(x: np.ndarray, y: np.ndarray, k: int, config: ProbeConfig):
+def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: ProbeConfig) -> float:
+    """Mean held-out accuracy over deterministic stratified k folds; each
+    fold picks its l2 on an inner dev split of its training examples."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
     assignment = stratified_folds(y, k, config.seed)
     accuracies = []
-    fold_l2s = []
     for fold in range(k):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
@@ -402,13 +386,4 @@ def _kfold(x: np.ndarray, y: np.ndarray, k: int, config: ProbeConfig):
             config, n_classes,
         )
         accuracies.append(evaluate(model, x[test_idx], y[test_idx]))
-        fold_l2s.append(model.l2)
-    return float(np.mean(accuracies)), fold_l2s
-
-
-def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: ProbeConfig) -> float:
-    """Mean held-out accuracy over deterministic stratified k folds."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    mean_acc, _ = _kfold(x, y, k, config)
-    return mean_acc
+    return float(np.mean(accuracies))

@@ -115,13 +115,16 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
 # config-file keys: the ExperimentConfig fields plus the probe's settings
 _PROBE_INT_KEYS = {
     "probe_hidden": "hidden", "max_epochs": "max_epochs", "patience": "patience",
-    "eval_interval": "eval_interval", "probe_seed": "seed",
+    "eval_interval": "eval_interval",
 }
 _CONFIG_KEYS = {
     "embeddings", "tasks", "encoders", "dims", "poolings", "seeds", "probe",
     "l2_grid", "output_dir", "timing", "oov", "lowercase", "clean", *_PROBE_INT_KEYS,
 }
-_REMOVED_KEYS = {"workers": "jobs run one after another; threads made sweeps slower"}
+_REMOVED_KEYS = {
+    "workers": "jobs run one after another; threads made sweeps slower",
+    "probe_seed": "each tuple's probe is seeded by its sweep seed",
+}
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ def test_init_empirical_mean_shrinks(d, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# softmax_rows (attention weights and probe class probabilities)
+# softmax_rows (attention weights)
 # ---------------------------------------------------------------------------
 
 

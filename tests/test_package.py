@@ -13,9 +13,11 @@ import randenc
 from randenc import selfcheck
 from randenc.cli import main
 from randenc.encoders import ENCODER_KINDS
-from randenc.runner import RESULTS_HEADER
+from randenc.runner import RESULTS_HEADER, ExperimentConfig
+from randenc.tasks import load_task
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 @pytest.mark.parametrize("kind", ENCODER_KINDS)
@@ -64,3 +66,42 @@ def test_desk_sweep_quick_start_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header = (work / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == RESULTS_HEADER
+
+
+def readme_block(first_line: str) -> str:
+    """The fenced README.md block whose first line starts with first_line."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```\n")[1::2]
+    [block] = [b for b in blocks if b.startswith(first_line)]
+    return block
+
+
+def test_readme_samples_load(tmp_path):
+    config_path = tmp_path / "sweep.config"
+    config_path.write_text(readme_block("embeddings="), encoding="utf-8")
+    config = ExperimentConfig.from_file(str(config_path))
+    assert config.probe.kind == "logreg"
+    assert config.timing and not config.clean and config.oov == "drop"
+    assert len(config.encoders) == len(ENCODER_KINDS)
+
+    manifest = tmp_path / "task.manifest"
+    manifest.write_text(readme_block("name="), encoding="utf-8")
+    for split, label in (("train", "0"), ("train", "1"), ("dev", "0"), ("test", "1")):
+        with open(tmp_path / f"{split}.tsv", "a", encoding="utf-8") as fh:
+            fh.write(f"{label}\tthe cat sat\n")
+    (tmp_path / "trees.txt").write_text("(S (DT the) (NN cat) (VB sat))\n" * 4,
+                                        encoding="utf-8")
+    task = load_task(str(manifest))
+    assert (task.name, task.kind, task.n_examples) == ("order", "single", 4)
+    assert task.plan.kind == "tv" and len(task.trees) == 4
+
+
+def test_perfbench_tracer_installs(monkeypatch):
+    # perfbench/tracing.py wraps library functions by name; a rename fails here
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    original = randenc.probe.loss_and_grad
+    with tracing.Tracer():
+        assert randenc.probe.loss_and_grad is not original
+    assert randenc.probe.loss_and_grad is original

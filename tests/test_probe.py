@@ -101,6 +101,65 @@ def test_gradient_matches_central_differences(kind, nprng):
         assert (np.abs(a - n) / denom).max() < 1e-4
 
 
+def reference_loss_and_grad(params, x, y, l2, kind):
+    """Row by row in plain Python: a max-shifted log-sum-exp from math, and
+    the gradient of each row's cross-entropy accumulated in loops."""
+    p = [q.tolist() for q in params]
+    n = x.shape[0]
+    out_w, out_b = (0, 1) if kind == "logreg" else (2, 3)
+    grads = [np.zeros_like(q) for q in params]
+    loss = 0.0
+    for row, label in zip(x.tolist(), y.tolist()):
+        feats = row
+        if kind == "mlp":
+            feats = [math.tanh(sum(w * v for w, v in zip(p[0][j], row)) + p[1][j])
+                     for j in range(len(p[1]))]
+        logits = [sum(w * v for w, v in zip(p[out_w][k], feats)) + p[out_b][k]
+                  for k in range(len(p[out_b]))]
+        top = max(logits)
+        lse = top + math.log(sum(math.exp(v - top) for v in logits))
+        loss += (lse - logits[label]) / n
+        d_logits = [(math.exp(v - lse) - (k == label)) / n for k, v in enumerate(logits)]
+        for k, d in enumerate(d_logits):
+            grads[out_b][k] += d
+            for j, v in enumerate(feats):
+                grads[out_w][k, j] += d * v
+        if kind == "mlp":
+            for j, a in enumerate(feats):
+                back = sum(d * p[2][k][j] for k, d in enumerate(d_logits)) * (1.0 - a * a)
+                grads[1][j] += back
+                for i, v in enumerate(row):
+                    grads[0][j, i] += back * v
+    for w in ((0,) if kind == "logreg" else (0, 2)):
+        loss += 0.5 * l2 * sum(v * v for v in params[w].ravel().tolist())
+        grads[w] += l2 * params[w]
+    return loss, grads
+
+
+@pytest.mark.parametrize("logit_scale", [1.0, 1e3])
+@pytest.mark.parametrize("n_classes", [2, 10])
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_loss_and_grad_matches_per_row_reference(kind, n_classes, logit_scale, nprng):
+    x = nprng.normal(size=(9, 4))
+    y = np.arange(9) % n_classes
+    params = [p + nprng.normal(size=p.shape) * 0.5
+              for p in init_params(kind, 4, n_classes, 6, seed=2)]
+    params[-2] *= logit_scale  # output layer: logits near +-1e3 at the larger scale
+    params[-1] *= logit_scale
+    if logit_scale > 1:
+        hidden = x if kind == "logreg" else np.tanh(x @ params[0].T + params[1])
+        # an unshifted exp overflows above 709.78
+        assert np.abs(hidden @ params[-2].T + params[-1]).max() > 710
+    loss, grads = loss_and_grad(params, x, y, 1e-3, kind)
+    ref_loss, ref_grads = reference_loss_and_grad(params, x, y, 1e-3, kind)
+    # 1e-12 relative to max(1, magnitude): the l2 term of the scaled weights
+    # puts the loss in the thousands, where one ulp is about 1e-12
+    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_initial_loss_is_ln2_balanced_binary(nprng):
     x = nprng.normal(size=(30, 7))
     y = np.array([0, 1] * 15)
@@ -291,13 +350,10 @@ def test_stratified_folds_preconditions():
         stratified_folds(y, 9, seed=0)
 
 
-def test_kfold_via_train_probe_cv_plan(nprng):
+def test_train_probe_rejects_cv_plan():
     x, y = make_blobs(60, margin=2.0, seed=9)
-    order = nprng.permutation(60)
-    x, y = x[order], y[order]
-    model, report = train_probe(x, y, SplitPlan(kind="cv", folds=5), ProbeConfig(max_epochs=80))
-    assert report.test_accuracy >= 0.95
-    assert model.n_classes == 2
+    with pytest.raises(ValueError, match="kfold_accuracy"):
+        train_probe(x, y, SplitPlan(kind="cv", folds=5), ProbeConfig(max_epochs=80))
 
 
 def test_same_seed_same_cv_result():

@@ -31,6 +31,7 @@ from randenc.tasks import (
     write_task_files,
 )
 from randenc.embeddings import write_embeddings
+from randenc.probe import ProbeConfig, SplitPlan, kfold_accuracy
 
 from conftest import assert_matches_oracle
 
@@ -92,11 +93,13 @@ def as_pair_task(ds):
 
 def stage_experiment(tmp_path, *, n=80, encoders="borep,rand_lstm", dims="16",
                      seeds="1,2", poolings="max", extra="", with_trees=True,
-                     embed_dim=8, pair=False):
+                     embed_dim=8, pair=False, cv_folds=0):
     task_dir = tmp_path / "order"
     ds = make_synthetic_order_task(n, n_fillers=16, seed=0, with_trees=with_trees)
     if pair:
         ds = as_pair_task(ds)
+    if cv_folds:
+        ds = replace(ds, plan=SplitPlan(kind="cv", folds=cv_folds))
     manifest = write_task_files(ds, str(task_dir))
     table = make_synthetic_embeddings(synthetic_vocabulary(16), embed_dim, seed=1)
     emb_path = tmp_path / "vectors.txt"
@@ -141,7 +144,7 @@ BAD_CONFIG_LINES = {
     "max_epochs": ("max_epochs=lots", "max_epochs= takes int values"),
     "patience": ("patience=", "patience= takes int values, got ''"),
     "eval_interval": ("eval_interval=1e3", "eval_interval= takes int values"),
-    "probe_seed": ("probe_seed=x", "probe_seed= takes int values"),
+    "probe_seed": ("probe_seed=0", "config key 'probe_seed' was removed"),
     "probe_hidden": ("probe_hidden=50.0", "probe_hidden= takes int values"),
     "l2_grid": ("l2_grid=0.1,big", "l2_grid= takes float values, got '0.1,big'"),
 }
@@ -492,6 +495,23 @@ def test_probe_failure_marks_only_its_row(tmp_path, monkeypatch):
     assert rows["max"] == clean["max"]
     assert rows["mean"].error == "FloatingPointError: probe diverged"
     assert math.isnan(rows["mean"].accuracy)
+
+
+def test_cv_task_scored_by_kfold_accuracy_at_sweep_seed(tmp_path):
+    path = stage_experiment(tmp_path, n=40, encoders="borep", seeds="1,2", cv_folds=4)
+    config = ExperimentConfig.from_file(path)
+    result = run_experiment(config)
+    dataset = runner.load_task(config.tasks[0])
+    assert dataset.plan == SplitPlan(kind="cv", folds=4)
+    assert config.probe == ProbeConfig(max_epochs=40)
+    table = runner.load_embeddings(config.embeddings)
+    [(seqs, _parses)] = runner._prepare_task(config, dataset, table)[False]
+    assert [(r.seed, r.error) for r in result.rows] == [(1, ""), (2, "")]
+    for r in result.rows:
+        params = enc.build_encoder("borep", r.seed, table.dim, 16)
+        x = enc.encode_corpus(params, list(seqs), ("max",))["max"]
+        probe = ProbeConfig(max_epochs=40, seed=r.seed)
+        assert r.accuracy == kfold_accuracy(x, dataset.label_indices, 4, probe)
 
 
 def test_wall_ms_includes_shared_build_and_encode(tmp_path, monkeypatch):
