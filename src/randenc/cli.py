@@ -12,9 +12,15 @@ import argparse
 import sys
 
 from . import __version__
-from .embeddings import load_embeddings
 from .encoders import ConfigError, build_encoder, encode_corpus
-from .runner import ExperimentConfig, parse_encoder_spec, prepare_texts, run_experiment
+from .runner import (
+    ExperimentConfig,
+    embed_texts,
+    load_used_vectors,
+    parse_encoder_spec,
+    run_experiment,
+    tokenize_texts,
+)
 from .tasks import read_parses
 
 
@@ -83,7 +89,9 @@ def _cmd_encode(args) -> int:
         if not args.trees:
             raise ConfigError("tree_lstm encoding requires --trees")
         parses = read_parses(args.trees, sentences)
-    table = load_embeddings(args.embeddings)
+    token_lists = tokenize_texts(sentences, tree=on_trees, lowercase=not args.no_lowercase,
+                                 clean=args.clean)
+    table = load_used_vectors(args.embeddings, token_lists)
 
     if args.load_params:
         from .checkpoint import load_encoder
@@ -104,8 +112,7 @@ def _cmd_encode(args) -> int:
     with open(args.output, "w", encoding="utf-8") as out:
         for lo in range(0, len(sentences), _ENCODE_BLOCK):
             block = slice(lo, lo + _ENCODE_BLOCK)
-            seqs = prepare_texts(table, sentences[block], tree=on_trees, oov=args.oov,
-                                 lowercase=not args.no_lowercase, clean=args.clean)
+            seqs = embed_texts(table, token_lists[block], tree=on_trees, oov=args.oov)
             pooled = encode_corpus(params, list(seqs), (args.pooling,), trees=parses[block])
             for i, row in enumerate(pooled[args.pooling], start=lo + 1):
                 out.write(" ".join([str(i)] + [f"{v:.17g}" for v in row]) + "\n")

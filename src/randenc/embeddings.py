@@ -7,7 +7,6 @@ here is ever trained.
 
 from __future__ import annotations
 
-import math
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -82,70 +81,110 @@ class TokenSequence:
         return self.vectors.shape[1]
 
 
-def load_embeddings(path, expected_dim: int | None = None) -> WordEmbeddingTable:
+# Entry lines per np.loadtxt call: enough that the float parsing runs in C,
+# few enough that one block of 300-d rows stays under 5 MB.
+_BLOCK_LINES = 2048
+
+
+def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     """Read a GloVe-style text file into a WordEmbeddingTable.
 
+    vocab, a set of words, keeps only those words' vectors (the table may
+    then be empty); None keeps every word. Either way every line of the file
+    is checked, so a file loads with a vocab exactly when it loads without
+    one, and a kept word gets the same bits.
+
     Duplicate words keep their first occurrence; the number of dropped
-    duplicates is reported on the table. Dimension mismatches and
-    unparseable or non-finite (nan, inf) values raise EmbeddingFormatError
-    naming the file and line.
+    duplicates, counted over all words, is reported on the table. A line
+    with a token and no value, a dimension mismatch or an unparseable value
+    raises EmbeddingFormatError naming the file and the first such line. If
+    there is none, a non-finite value (nan, inf, or a number that overflows)
+    raises it naming the first line that holds one.
+
+    Lines are read in blocks whose numbers np.loadtxt parses in C. A block
+    it rejects, or whose width is not the file's, is parsed again line by
+    line with float(); that path finds the failing line and accepts the
+    values float() takes and loadtxt does not (1_0, non-ASCII digits).
+    Memory is the kept vectors, one block and the set of words seen.
     """
     vectors: dict[str, np.ndarray] = {}
-    dim: int | None = expected_dim
+    seen: set[str] = set()
+    dim: int | None = None
     duplicates = 0
-    # Sum of every parsed row: finite unless some value is nan or inf (or the
-    # sum overflows). A per-line isfinite check slowed loading a 100k-word
-    # 300-d file by about 6% on a 2-core Xeon; one add per line costs a third
-    # of that, and a second pass finds the line only when the sum is not finite.
-    total = None
-    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore", invalid="ignore"):
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise EmbeddingFormatError(
-                    "expected a token and at least one value", line_no, path
-                )
-            word, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise EmbeddingFormatError(
-                    f"expected {dim} values, found {len(values)}", line_no, path
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"unparseable value ({exc})", line_no, path
-                ) from None
-            if total is None:
-                total = np.zeros(dim)
-            total += vec
-            if word in vectors:
-                duplicates += 1
-                continue
-            vectors[word] = vec
-    if not vectors:
+    first_non_finite: int | None = None
+    with open(path, encoding="utf-8") as fh:
+        for line_nos, words, rests in _entry_blocks(fh, path):
+            rows = _parse_block(path, line_nos, rests, dim)
+            dim = rows.shape[1]
+            if first_non_finite is None:
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    first_non_finite = line_nos[int(np.argmin(finite))]
+            for word, row in zip(words, rows):
+                if word in seen:
+                    duplicates += 1
+                    continue
+                seen.add(word)
+                if vocab is None or word in vocab:
+                    vectors[word] = row.copy()  # a copy, so the block is freed
+    if dim is None:
         raise EmbeddingFormatError(f"no embeddings found in {path}")
-    if not np.isfinite(total).all():
-        line_no = _first_non_finite_line(path)
-        if line_no is not None:  # None: finite values whose sum overflowed
-            raise EmbeddingFormatError("non-finite value (nan or inf)", line_no, path)
-    assert dim is not None
+    if first_non_finite is not None:
+        raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
     return WordEmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
 
 
-def _first_non_finite_line(path) -> int | None:
-    """1-based line of the first value that parses to nan or inf, or None.
-    Only called on a file load_embeddings has already parsed in full."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not all(math.isfinite(float(v)) for v in line.split()[1:]):
-                return line_no
-    return None
+def _entry_blocks(fh, path):
+    """(line numbers, words, value strings) of up to _BLOCK_LINES entry
+    lines at a time; blank lines are skipped. A line holding only a token
+    raises once the lines before it have been yielded, so their errors win."""
+    line_nos: list[int] = []
+    words: list[str] = []
+    rests: list[str] = []
+    for line_no, line in enumerate(fh, start=1):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:
+            if line_nos:
+                yield line_nos, words, rests
+            raise EmbeddingFormatError(
+                "expected a token and at least one value", line_no, path
+            )
+        line_nos.append(line_no)
+        words.append(parts[0])
+        rests.append(parts[1])
+        if len(line_nos) == _BLOCK_LINES:
+            yield line_nos, words, rests
+            line_nos, words, rests = [], [], []
+    if line_nos:
+        yield line_nos, words, rests
+
+
+def _parse_block(path, line_nos, rests, dim: int | None) -> np.ndarray:
+    """The block's values as a len(rests) x dim array; dim None takes the
+    first line's width."""
+    try:
+        rows = np.loadtxt(rests, comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if rows.shape == (len(rests), rows.shape[1] if dim is None else dim):
+            return rows
+    out = []
+    for line_no, rest in zip(line_nos, rests):
+        values = rest.split()
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise EmbeddingFormatError(
+                f"expected {dim} values, found {len(values)}", line_no, path
+            )
+        try:
+            out.append([float(v) for v in values])
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"unparseable value ({exc})", line_no, path) from None
+    return np.array(out, dtype=np.float64)
 
 
 def write_embeddings(table: WordEmbeddingTable, path) -> None:

@@ -45,7 +45,9 @@ __all__ = [
     "SummaryRow",
     "ExperimentResult",
     "parse_encoder_spec",
-    "prepare_texts",
+    "tokenize_texts",
+    "load_used_vectors",
+    "embed_texts",
     "run_experiment",
     "aggregate",
     "write_results_csv",
@@ -300,42 +302,72 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def prepare_texts(
-    table: WordEmbeddingTable, texts, *, tree: bool, oov: str, lowercase: bool, clean: bool,
-) -> tuple[TokenSequence, ...]:
-    """Tokenize, clean and embed each text, for the sweep and `randenc encode`.
-    The tree path always cleans (the corpus rules are stated for that
-    encoder) and maps OOV tokens to zero rows, keeping leaves aligned with
-    the parse; clean and oov set the sequence path."""
-    if tree:
-        clean, oov = True, "zero"
+def tokenize_texts(texts, *, tree: bool, lowercase: bool, clean: bool) -> list[list[str]]:
+    """Tokenize and clean each text, for the sweep and `randenc encode`. The
+    tree path always cleans (the corpus rules are stated for that encoder);
+    clean sets the sequence path."""
     out = []
     for text in texts:
         tokens = tokenize(text, lowercase=lowercase)
-        if clean:
+        if clean or tree:
             tokens = clean_tokens(tokens)
-        out.append(embed_sentence(table, tokens, oov=oov))
-    return tuple(out)
+        out.append(tokens)
+    return out
 
 
-def _prepare_task(config: ExperimentConfig, dataset: TaskDataset,
-                  table: WordEmbeddingTable) -> dict[bool, list]:
-    """A task's corpora, prepared once for all its jobs and keyed by whether
-    they feed the tree path: (TokenSequences, parses or None) per corpus,
-    two for pair tasks. A path no swept kind reads is left out."""
-    corpora = [(dataset.texts, dataset.trees)]
-    if dataset.kind == "pair":
-        corpora.append((dataset.texts2, dataset.trees2))
+def load_used_vectors(path, token_lists) -> WordEmbeddingTable:
+    """The vectors of every word in token_lists, read from path with every
+    line of the file checked; the file's other words are not kept."""
+    return load_embeddings(path, {token for tokens in token_lists for token in tokens})
+
+
+def embed_texts(
+    table: WordEmbeddingTable, token_lists, *, tree: bool, oov: str,
+) -> tuple[TokenSequence, ...]:
+    """Embed tokenize_texts output. The tree path maps OOV tokens to zero
+    rows, keeping leaves aligned with the parse; oov sets the sequence path."""
+    if tree:
+        oov = "zero"
+    return tuple(embed_sentence(table, tokens, oov=oov) for tokens in token_lists)
+
+
+def _prepare_tasks(
+    config: ExperimentConfig, datasets,
+) -> tuple[WordEmbeddingTable, list[dict[bool, list]]]:
+    """The vectors the tasks use, and each task's corpora prepared once for
+    all its jobs, keyed by whether they feed the tree path: (TokenSequences,
+    parses or None) per corpus, two for pair tasks. A path no swept kind
+    reads is left out. Each text is tokenized once per path; the union of
+    those tokens is the vocabulary the vectors are loaded for."""
     paths = sorted({spec.kind == "tree_lstm" for spec in config.encoders})
-    return {
-        tree: [
-            (prepare_texts(table, texts, tree=tree, oov=config.oov,
-                           lowercase=config.lowercase, clean=config.clean),
-             parses if tree else None)
-            for texts, parses in corpora
-        ]
-        for tree in paths
-    }
+    tokenized = []
+    for dataset in datasets:
+        corpora = [(dataset.texts, dataset.trees)]
+        if dataset.kind == "pair":
+            corpora.append((dataset.texts2, dataset.trees2))
+        tokenized.append({
+            tree: [
+                (tokenize_texts(texts, tree=tree, lowercase=config.lowercase,
+                                clean=config.clean),
+                 parses if tree else None)
+                for texts, parses in corpora
+            ]
+            for tree in paths
+        })
+    table = load_used_vectors(config.embeddings, (
+        tokens
+        for by_path in tokenized for corpora in by_path.values()
+        for token_lists, _parses in corpora for tokens in token_lists
+    ))
+    prepared = [
+        {
+            tree: [(embed_texts(table, token_lists, tree=tree, oov=config.oov), parses)
+                   for token_lists, parses in corpora]
+            for tree, corpora in by_path.items()
+        }
+        for by_path in tokenized
+    ]
+    return table, prepared
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +448,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 "tree_lstm is in the encoder list but these tasks have no "
                 f"parse trees: {', '.join(missing)}"
             )
-    table = load_embeddings(config.embeddings)
-    prepared = [_prepare_task(config, ds, table) for ds in datasets]
+    table, prepared = _prepare_tasks(config, datasets)
 
     rows = [
         row

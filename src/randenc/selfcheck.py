@@ -10,8 +10,8 @@ from __future__ import annotations
 import io
 import numpy as np
 
-from . import checkpoint, encoders, numerics, probe, tasks, trees
-from .embeddings import TokenSequence
+from . import checkpoint, embeddings, encoders, numerics, probe, tasks, trees
+from .embeddings import EmbeddingFormatError, TokenSequence
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -99,6 +99,46 @@ def check_batched_encode() -> None:
                 )
 
 
+def check_vector_loader() -> None:
+    # np.loadtxt parses all but the last block; its grammar is the installed
+    # numpy's, so compare it with float() on every form written here
+    import os, tempfile
+
+    rng = np.random.default_rng(18)
+    forms = ("{!r}", "{:.6f}", "{:.17g}", "{:.3e}", "{:+.2E}")
+    n = embeddings._BLOCK_LINES + 4
+    numbers = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    lines = [
+        f"w{i} " + " ".join(forms[(i + j) % len(forms)].format(v) for j, v in enumerate(row))
+        for i, row in enumerate(numbers.tolist())
+    ]
+    lines[-2] = f"w{n - 2} 1_0 -0.0 .5"  # only float() takes 1_0: the last block goes per line
+    used = {"w0", "w1", "w2", "w3", "w4", f"w{n - 3}", f"w{n - 2}", f"w{n - 1}"}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "vectors.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        table = embeddings.load_embeddings(path, used)
+        for line in lines:
+            word, *fields = line.split()
+            if word in used:
+                expected = np.array([float(v) for v in fields])
+                if table.lookup(word).tobytes() != expected.tobytes():
+                    raise AssertionError(f"vector of {word!r} differs from float() per line")
+        if set(table.vectors) != used:
+            raise AssertionError("vector loader kept words outside the vocabulary")
+        lines[9] = "w9 1.0 0x1p3 2.0"  # float() rejects hex, on an unused word's line
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            embeddings.load_embeddings(path, used)
+        except EmbeddingFormatError as exc:
+            if exc.line_no != 10 or "unparseable" not in str(exc):
+                raise AssertionError(f"bad line 10 reported as {exc}") from None
+        else:
+            raise AssertionError("vector loader accepted 0x1p3 on an unused word's line")
+
+
 def check_probe_gradients() -> None:
     rng = np.random.default_rng(16)
     x = rng.normal(size=(20, 6))
@@ -172,6 +212,7 @@ CHECKS = [
     ("pooling-permutation-contract", check_permutation_invariance),
     ("esn-radius-and-contraction", check_esn_contract),
     ("batched-encode-matches-per-sentence", check_batched_encode),
+    ("vector-loader-blocks-match-float", check_vector_loader),
     ("probe-gradients-and-ln2", check_probe_gradients),
     ("checkpoint-bit-exact", check_checkpoint_roundtrip),
     ("tree-binarization", check_tree_shapes),

@@ -190,7 +190,17 @@ def load_task(manifest_path: str) -> TaskDataset:
             )
         if "split" in entries:
             raise TaskFormatError(f"{manifest_path}: split= only applies to data= manifests")
-        parts = [_read_tsv(resolve(entries[k]), kind) for k in ("train", "dev", "test")]
+        parts = []
+        for split_name in ("train", "dev", "test"):
+            path = resolve(entries[split_name])
+            part = _read_tsv(path, kind)
+            if not part[0]:
+                # no split may be empty: an empty train set has no classes,
+                # and an empty dev or test set has no accuracy to report
+                raise TaskFormatError(
+                    f"{manifest_path}: {split_name}= file {path} holds no examples"
+                )
+            parts.append(part)
         texts = [t for p in parts for t in p[0]]
         texts2 = [t for p in parts for t in p[1]] if kind == "pair" else None
         labels = [t for p in parts for t in p[2]]

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randenc import embeddings
 from randenc.embeddings import (
     EmbeddingFormatError,
     OOV_TOKEN,
@@ -72,13 +75,6 @@ def test_load_empty_file(tmp_path):
         load_embeddings(str(p))
 
 
-def test_load_expected_dim_enforced(tmp_path):
-    p = tmp_path / "vec.txt"
-    p.write_text("a 1.0 2.0\n")
-    with pytest.raises(EmbeddingFormatError):
-        load_embeddings(str(p), expected_dim=5)
-
-
 def test_duplicates_first_wins(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("a 1.0 2.0\na 9.0 9.0\nb 0.5 0.5\n")
@@ -98,6 +94,151 @@ def test_roundtrip_10k_synthetic(tmp_path):
     # spot-check bit-exactness across the table
     for w in ("word_0", "word_123", "word_9999"):
         assert np.array_equal(loaded.lookup(w), vectors[w])
+
+
+# ---------------------------------------------------------------------------
+# block loader against a per-line reference
+# ---------------------------------------------------------------------------
+
+
+def reference_load(path) -> WordEmbeddingTable:
+    """The loader's rules applied one line at a time with float(): the
+    specification the block loader must match bit for bit."""
+    vectors, dim, duplicates, first_non_finite = {}, None, 0, None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) < 2:
+                raise EmbeddingFormatError(
+                    "expected a token and at least one value", line_no, path
+                )
+            word, values = fields[0], fields[1:]
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise EmbeddingFormatError(
+                    f"expected {dim} values, found {len(values)}", line_no, path
+                )
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"unparseable value ({exc})", line_no, path) from None
+            if first_non_finite is None and not np.isfinite(vec).all():
+                first_non_finite = line_no
+            if word in vectors:
+                duplicates += 1
+            else:
+                vectors[word] = vec
+    if dim is None:
+        raise EmbeddingFormatError(f"no embeddings found in {path}")
+    if first_non_finite is not None:
+        raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
+    return WordEmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
+
+
+def load_outcome(load, path, keep=lambda word: True):
+    """What a load did: its error and line, or the table with the vectors of
+    the words keep() accepts as exact bytes."""
+    try:
+        table = load(path)
+    except EmbeddingFormatError as exc:
+        return "error", str(exc), exc.line_no
+    kept = [(w, v.dtype.str, v.shape, v.tobytes()) for w, v in table.vectors.items() if keep(w)]
+    return "table", table.dim, table.duplicates, kept
+
+
+def assert_loads_like_reference(path, vocab):
+    assert load_outcome(load_embeddings, path) == load_outcome(reference_load, path)
+    assert load_outcome(lambda p: load_embeddings(p, vocab), path) == load_outcome(
+        reference_load, path, keep=lambda word: word in vocab
+    )
+
+
+WORDS = ("u0", "u1", "u2", "x0", "x1", "x2", "é")
+# separators str.split() takes: tab, no-break, ideographic and other Unicode spaces
+SEPARATORS = (" ", " ", "  ", "\t", "\xa0", "\u3000", "\u2009", "\x0c", "\x1c", "\x85")
+# values float() accepts, including forms numpy's parser rejects (1_0, non-ASCII digits)
+GOOD_VALUES = ("1_0", "１２", "٣.٥", "-0.0", "+2", ".5", "4.", "1e-3", "1.5e308", "-7.123456")
+BAD_VALUES = ("oops", "1..2", "0x1p3", "1__0", "--1", "nan(1)")
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+LINE_KINDS = ("good",) * 6 + (
+    "count", "unparseable", "non_finite", "blank", "spaces", "token_only",
+)
+
+
+@st.composite
+def vector_files(draw):
+    """A GloVe-style file mostly of good lines over seven words, so
+    duplicates are common; the malformed lines fall anywhere, before,
+    between or after the used words and on either side of a block boundary."""
+    dim = draw(st.integers(1, 3))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(GOOD_VALUES),
+    )
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(LINE_KINDS), max_size=14)):
+        word = draw(st.sampled_from(WORDS))
+        sep = st.sampled_from(SEPARATORS)
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(sep) * draw(st.integers(1, 3)))
+            continue
+        if kind == "token_only":
+            lines.append(word + draw(st.sampled_from(("", " ", "\t"))))
+            continue
+        n = dim
+        if kind == "count":
+            n += 1 if dim == 1 else draw(st.sampled_from((-1, 1)))
+        values = [draw(value) for _ in range(n)]
+        if kind in ("unparseable", "non_finite"):
+            pool = BAD_VALUES if kind == "unparseable" else NON_FINITE
+            values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(pool))
+        line = word + "".join(draw(sep) + v for v in values)
+        if draw(st.booleans()):
+            line = draw(sep) + line + draw(sep)
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=vector_files(),
+    block_lines=st.sampled_from((1, 2, 3, 4)),
+    vocab=st.sets(st.sampled_from(WORDS + ("absent",)), max_size=4),
+)
+def test_block_loader_matches_per_line_reference(tmp_path_factory, text, block_lines, vocab):
+    path = tmp_path_factory.mktemp("vectors") / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
+        assert_loads_like_reference(str(path), vocab)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+@pytest.mark.parametrize("bad", ["a 1.0", "a 1.0 oops", "a 1.0 inf", "a", "a 1_0 2.0", ""])
+def test_block_boundary_at_full_block_size(tmp_path, offset, bad):
+    # a full first block, then the odd line just before, at or after the boundary
+    n = embeddings._BLOCK_LINES + 3
+    lines = [f"w{i} {i}.5 -{i}.25" for i in range(n)]
+    lines[embeddings._BLOCK_LINES - 1 + offset] = bad
+    p = tmp_path / "vec.txt"
+    p.write_text("\n".join(lines) + "\n")
+    assert_loads_like_reference(str(p), {"w0", "a", f"w{n - 1}"})
+
+
+def test_unused_words_are_checked_but_not_kept(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("a 1.0 2.0\nb 3.0 4.0\nb 5.0 6.0\nc 1_0 ٣\n")
+    table = load_embeddings(str(p), {"c", "absent"})
+    assert (table.dim, table.duplicates, list(table.vectors)) == (2, 1, ["c"])
+    assert np.array_equal(table.lookup("c"), [10.0, 3.0])
+    p.write_text("a 1.0 2.0\nb 3.0 oops\nc 1.0 2.0\n")
+    with pytest.raises(EmbeddingFormatError, match=":2: unparseable"):
+        load_embeddings(str(p), {"c"})
 
 
 def test_tokenize_lowercase_flag():

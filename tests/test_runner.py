@@ -30,7 +30,7 @@ from randenc.tasks import (
     synthetic_vocabulary,
     write_task_files,
 )
-from randenc.embeddings import write_embeddings
+from randenc.embeddings import EmbeddingFormatError, write_embeddings
 from randenc.probe import ProbeConfig, SplitPlan, kfold_accuracy
 
 from conftest import assert_matches_oracle
@@ -405,9 +405,9 @@ def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
     path = stage_experiment(tmp_path, n=40, pair=True, encoders=kind + hyper)
     config = ExperimentConfig.from_file(path)
     dataset = runner.load_task(config.tasks[0])
-    table = runner.load_embeddings(config.embeddings)
     on_trees = kind == "tree_lstm"
-    corpora = runner._prepare_task(config, dataset, table)[on_trees]
+    table, [by_path] = runner._prepare_tasks(config, [dataset])
+    corpora = by_path[on_trees]
     params = enc.build_encoder(kind, 3, 8, 16, **config.encoders[0].hyper_dict())
     pooled_pair = [
         enc.encode_corpus(params, list(seqs), ("max", "mean"), trees=parses)
@@ -416,8 +416,9 @@ def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
     assert len(pooled_pair) == 2
     for pooled, texts, trees in zip(pooled_pair, (dataset.texts, dataset.texts2),
                                     (dataset.trees, dataset.trees2)):
-        seqs = runner.prepare_texts(table, texts, tree=on_trees, oov=config.oov,
-                                    lowercase=config.lowercase, clean=config.clean)
+        token_lists = runner.tokenize_texts(texts, tree=on_trees, lowercase=config.lowercase,
+                                            clean=config.clean)
+        seqs = runner.embed_texts(table, token_lists, tree=on_trees, oov=config.oov)
         for pooling in ("max", "mean"):
             oracle = np.array([
                 enc.encode_and_pool(params, seq, pooling, tree=tree if on_trees else None).values
@@ -446,6 +447,32 @@ def test_each_swept_path_prepared_once(tmp_path, monkeypatch, encoders, policies
     result = run_experiment(ExperimentConfig.from_file(path))
     assert not result.errors
     assert calls == {oov: count * n for oov, count in policies.items()}
+
+
+def test_sweep_keeps_only_used_vectors_and_checks_every_line(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1")
+    config = ExperimentConfig.from_file(path)
+    with open(config.embeddings, "a", encoding="utf-8") as fh:
+        fh.write("unused " + " ".join(["0.5"] * 8) + "\n")
+    tables = []
+    original = runner.load_embeddings
+
+    def recording(path, vocab):
+        tables.append(original(path, vocab))
+        return tables[-1]
+
+    monkeypatch.setattr(runner, "load_embeddings", recording)
+    assert not run_experiment(config).errors
+    dataset = runner.load_task(config.tasks[0])
+    used = {token for text in dataset.texts for token in text.lower().split()}
+    assert set(tables[0].vectors) == used
+    # a malformed line on a word no text uses still fails the sweep at load
+    with open(config.embeddings, encoding="utf-8") as fh:
+        bad_line = len(fh.readlines()) + 1
+    with open(config.embeddings, "a", encoding="utf-8") as fh:
+        fh.write("unused2 0.5 oops" + " 0.5" * 6 + "\n")
+    with pytest.raises(EmbeddingFormatError, match=rf"vectors\.txt:{bad_line}: unparseable"):
+        run_experiment(config)
 
 
 def test_build_failure_marks_every_pooling_row(tmp_path):
@@ -504,8 +531,8 @@ def test_cv_task_scored_by_kfold_accuracy_at_sweep_seed(tmp_path):
     dataset = runner.load_task(config.tasks[0])
     assert dataset.plan == SplitPlan(kind="cv", folds=4)
     assert config.probe == ProbeConfig(max_epochs=40)
-    table = runner.load_embeddings(config.embeddings)
-    [(seqs, _parses)] = runner._prepare_task(config, dataset, table)[False]
+    table, [by_path] = runner._prepare_tasks(config, [dataset])
+    [(seqs, _parses)] = by_path[False]
     assert [(r.seed, r.error) for r in result.rows] == [(1, ""), (2, "")]
     for r in result.rows:
         params = enc.build_encoder("borep", r.seed, table.dim, 16)

@@ -176,6 +176,19 @@ def test_unseen_test_label_rejected(tmp_path):
         load_task(manifest)
 
 
+@pytest.mark.parametrize("content", ["", "\n\n"])
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_empty_split_file_rejected(tmp_path, split, content):
+    files = {"train": "a\tx\nb\ty\n", "dev": "a\tz\nb\tw\n", "test": "a\tq\nb\tr\n"}
+    files[split] = content
+    manifest = single_task_dir(tmp_path, files["train"], files["dev"], files["test"])
+    with pytest.raises(TaskFormatError) as err:
+        load_task(manifest)
+    assert str(err.value) == (
+        f"{manifest}: {split}= file {tmp_path / (split + '.tsv')} holds no examples"
+    )
+
+
 def test_mixed_split_styles_rejected(tmp_path):
     write(tmp_path / "data.tsv", "a\tx\nb\ty\n")
     write(tmp_path / "train.tsv", "a\tx\n")
