@@ -314,12 +314,7 @@ def _draw_reservoir(
     w_raw = rng.uniform(-1.0, 1.0, (hidden, hidden))
     mask = rng.bernoulli_mask((hidden, hidden), sparsity)
     w_rec = w_raw * mask
-    est = spectral_radius(w_rec, iters=20000, tol=1e-12)
-    radius = est.value
-    if not est.converged:
-        # power iteration stalls on near-degenerate spectra; fall back to a
-        # dense eigensolver so the rescaling contract still holds
-        radius = float(np.max(np.abs(np.linalg.eigvals(w_rec))))
+    radius = spectral_radius(w_rec).value
     if radius < 1e-12:
         raise ConfigError(
             "reservoir matrix has zero spectral radius; increase out_dim or sparsity"
@@ -346,8 +341,10 @@ def build_esn(
     """
     if out_dim % 2 != 0:
         raise ConfigError(f"esn needs an even output dim, got {out_dim}")
-    if rho <= 0.0:
-        raise ConfigError(f"esn spectral radius target must be positive, got {rho}")
+    if not (0.0 < rho < math.inf):
+        raise ConfigError(f"esn spectral radius target must be positive and finite, got {rho}")
+    if not math.isfinite(input_scaling):
+        raise ConfigError(f"esn input_scaling must be finite, got {input_scaling}")
     if not (0.0 < sparsity <= 1.0):
         raise ConfigError(f"esn sparsity (fraction nonzero) must be in (0, 1], got {sparsity}")
     if not (0.0 < leak <= 1.0):
@@ -441,6 +438,8 @@ def build_cnn(
     """
     if window < 1:
         raise ConfigError(f"cnn window must be >= 1, got {window}")
+    if not isinstance(from_borep, bool):
+        raise ConfigError(f"cnn from_borep must be true or false, got {from_borep!r}")
     if from_borep:
         if window != 1:
             raise ConfigError("from_borep mapping requires window=1")
@@ -535,6 +534,8 @@ def build_self_attention(
         )
     if n_layers < 1:
         raise ConfigError(f"self_attention needs at least one layer, got {n_layers}")
+    if not isinstance(use_pe, bool):
+        raise ConfigError(f"self_attention use_pe must be true or false, got {use_pe!r}")
     d_k = out_dim // heads
     rng = SeededRng(seed)
     w_up = _frozen(xavier_uniform_init(rng, out_dim, in_dim))

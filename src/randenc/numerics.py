@@ -96,60 +96,18 @@ def layer_norm(v, eps: float = 1e-5) -> np.ndarray:
 
 class SpectralRadiusEstimate(NamedTuple):
     value: float
-    converged: bool
-    iterations: int
+    iterations: int  # always 0; kept because the perfbench tracer reads it
 
 
-# Fixed start-vector seed; spectral_radius must be deterministic on its own.
-_POWER_ITER_SEED = 0x5EED_0001
-
-
-def spectral_radius(m, iters: int = 10000, tol: float = 1e-10) -> SpectralRadiusEstimate:
-    """Dominant eigenvalue magnitude of a square matrix by power iteration.
-
-    Each step fits the degree-2 recurrence A^2 x = p Ax + q x over the last
-    three Krylov vectors and takes the largest root modulus, which also
-    resolves a dominant complex-conjugate pair (plain power iteration
-    oscillates there). Converged means the estimate moved by at most
-    ``tol`` (relative) over three consecutive steps; otherwise the last
-    estimate is returned flagged unconverged.
-    """
+def spectral_radius(m) -> SpectralRadiusEstimate:
+    """Largest eigenvalue modulus of a square matrix, from the dense
+    eigensolver (LAPACK via np.linalg.eigvals)."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"spectral_radius needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         raise ValueError("spectral_radius needs a non-empty matrix")
-
-    gen = np.random.Generator(np.random.PCG64(_POWER_ITER_SEED))
-    x = gen.standard_normal(n)
-    x /= np.linalg.norm(x)
-
-    estimate = 0.0
-    stable = 0
-    for it in range(1, iters + 1):
-        y = m @ x
-        ny = np.linalg.norm(y)
-        if ny < 1e-300:
-            return SpectralRadiusEstimate(0.0, True, it)
-        z = m @ y
-        basis = np.stack([y, x], axis=1)
-        (p, q), *_ = np.linalg.lstsq(basis, z, rcond=None)
-        disc = p * p + 4.0 * q
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            r = max(abs((p + root) / 2.0), abs((p - root) / 2.0))
-        else:
-            r = math.sqrt(max(-q, 0.0))
-        if abs(r - estimate) <= tol * max(1.0, abs(r)):
-            stable += 1
-            if stable >= 3:
-                return SpectralRadiusEstimate(r, True, it)
-        else:
-            stable = 0
-        estimate = r
-        x = y / ny
-    return SpectralRadiusEstimate(estimate, False, iters)
+    return SpectralRadiusEstimate(float(np.max(np.abs(np.linalg.eigvals(m)))), 0)
 
 
 def sigmoid(x) -> np.ndarray:

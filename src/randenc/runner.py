@@ -166,6 +166,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown pooling {p!r}; expected subset of {enc.POOLINGS}")
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be positive, got {self.dims}")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if self.oov not in ("drop", "zero"):
             raise ConfigError(f"oov policy must be drop or zero, got {self.oov!r}")
 

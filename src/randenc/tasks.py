@@ -176,6 +176,8 @@ def load_task(manifest_path: str) -> TaskDataset:
         if not split.startswith("cv") or not split[2:].isdigit():
             raise TaskFormatError(f"{manifest_path}: split= must look like cv10, got {split!r}")
         k = int(split[2:])
+        if k < 2:
+            raise TaskFormatError(f"{manifest_path}: split=cv<k> needs k >= 2, got {split!r}")
         texts, texts2, labels = _read_tsv(resolve(entries["data"]), kind)
         if len(texts) < k:
             raise TaskFormatError(

@@ -30,6 +30,7 @@ from randenc.encoders import (
     reservoir_states,
 )
 from randenc.numerics import SeededRng, uniform_init
+from randenc.runner import parse_encoder_spec
 from randenc.trees import ParseTree, right_branching_parse
 
 from conftest import ORACLE_TOL, assert_matches_oracle, make_seq
@@ -272,6 +273,14 @@ def test_esn_config_errors():
         build_esn(0, 4, 16, sparsity=0.0)
     with pytest.raises(ConfigError):
         build_esn(0, 4, 16, sparsity=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="spectral radius target"):
+            build_esn(0, 4, 16, rho=bad)
+    with pytest.raises(ConfigError, match="input_scaling"):
+        build_esn(0, 4, 16, input_scaling=math.nan)
+    # seed 1 draws an all-zero 4 x 4 recurrent matrix for the forward direction
+    with pytest.raises(ConfigError, match="zero spectral radius"):
+        build_esn(1, 4, 8)
 
 
 def test_esn_bidirectional_concat(nprng):
@@ -418,6 +427,20 @@ def test_build_encoder_unknown_kind():
 def test_build_encoder_bad_hyper(kind):
     with pytest.raises(ConfigError, match="bad hyperparameters"):
         enc.build_encoder(kind, 0, 4, 8, bogus=1)
+
+
+@pytest.mark.parametrize("token, key", [
+    ("self_attention(heads=2,use_pe=flase)", "use_pe"),
+    ("self_attention(heads=2,use_pe=1)", "use_pe"),
+    ("cnn(window=1,from_borep=yes)", "from_borep"),
+    ("cnn(window=1,from_borep=0)", "from_borep"),
+])
+def test_build_encoder_non_bool_flag(token, key):
+    # a spec value other than true/false parses to a string or a number,
+    # which would otherwise act as a flag by its truthiness
+    spec = parse_encoder_spec(token)
+    with pytest.raises(ConfigError, match=key):
+        enc.build_encoder(spec.kind, 0, 4, 8, **spec.hyper_dict())
 
 
 def test_tree_lstm_dispatch_reads_trees_module_per_call(monkeypatch, nprng):

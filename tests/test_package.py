@@ -102,6 +102,11 @@ def test_perfbench_tracer_installs(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     tracing = importlib.import_module("tracing")
     original = randenc.probe.loss_and_grad
-    with tracing.Tracer():
+    with tracing.Tracer() as tracer:
         assert randenc.probe.loss_and_grad is not original
+        # the tracer reads spectral_radius's result; a change to its return
+        # type must fail here, not in a traced benchmark run
+        randenc.encoders.build_encoder("esn", 1, 4, 16, sparsity=0.5)
     assert randenc.probe.loss_and_grad is original
+    assert "numerics.spectral_radius" in tracer.totals()
+    assert tracer.counts["numerics.power_iterations"] == 0

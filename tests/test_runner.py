@@ -200,6 +200,8 @@ def test_config_validation():
         ExperimentConfig("e", ("t",), (spec,), dims=(8, 8))
     with pytest.raises(ConfigError, match="tasks must be distinct"):
         ExperimentConfig("e", ("t", "t"), (spec,))
+    with pytest.raises(ConfigError, match="seeds must be non-negative"):
+        ExperimentConfig("e", ("t",), (spec,), seeds=(1, -1))
     # same kind, different hyperparameters: distinct columns of the sweep
     cnn2 = parse_encoder_spec("cnn(window=2)")
     ExperimentConfig("e", ("t",), (parse_encoder_spec("cnn"), cnn2), dims=(8, 16))

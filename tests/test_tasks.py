@@ -165,6 +165,16 @@ def test_cv_fold_count_exceeds_examples(tmp_path):
         load_task(manifest)
 
 
+@pytest.mark.parametrize("split", ["cv0", "cv1"])
+def test_cv_fold_count_below_two(tmp_path, split):
+    write(tmp_path / "data.tsv", "a\tx\nb\ty\n")
+    manifest = write(
+        tmp_path / "task.manifest", f"name=c\nkind=single\ndata=data.tsv\nsplit={split}\n"
+    )
+    with pytest.raises(TaskFormatError, match="task.manifest.*k >= 2"):
+        load_task(manifest)
+
+
 def test_unseen_test_label_rejected(tmp_path):
     manifest = single_task_dir(
         tmp_path,
