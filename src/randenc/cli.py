@@ -24,6 +24,13 @@ from .runner import (
 from .tasks import read_parses
 
 
+def _seed(text: str) -> int:
+    """--seed: numpy's generators take only non-negative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randenc",
@@ -39,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc_p.add_argument("--encoder", required=True,
                        help="encoder kind, optionally with hyperparameters: cnn(window=2)")
     enc_p.add_argument("--dim", required=True, type=int, help="output width D'")
-    enc_p.add_argument("--seed", required=True, type=int)
+    enc_p.add_argument("--seed", required=True, type=_seed)
     enc_p.add_argument("--pooling", required=True, choices=("max", "mean"))
     enc_p.add_argument("--embeddings", required=True, help="word vectors, GloVe text format")
     enc_p.add_argument("--input", required=True, help="one sentence per line")

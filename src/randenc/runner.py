@@ -236,11 +236,14 @@ class ExperimentConfig:
         if "l2_grid" in entries:
             probe_kwargs["l2_grid"] = numbers("l2_grid", float, split_list("l2_grid"))
 
+        try:
+            specs = tuple(parse_encoder_spec(t) for t in split_specs(entries["encoders"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{where('encoders')}: {exc}") from None
         kwargs: dict = {
             "embeddings": os.path.join(base, entries["embeddings"]),
             "tasks": tuple(os.path.join(base, t) for t in split_list("tasks")),
-            "encoders": tuple(parse_encoder_spec(t) for t in split_specs(entries["encoders"])),
-            "probe": ProbeConfig(**probe_kwargs),
+            "encoders": specs,
         }
         if "dims" in entries:
             kwargs["dims"] = numbers("dims", int, split_list("dims"))
@@ -259,7 +262,10 @@ class ExperimentConfig:
                 kwargs[flag] = entries[flag] == "on"
         if "oov" in entries:
             kwargs["oov"] = entries["oov"]
-        return cls(**kwargs)
+        try:
+            return cls(probe=ProbeConfig(**probe_kwargs), **kwargs)
+        except ValueError as exc:  # a check that spans keys names the file only
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

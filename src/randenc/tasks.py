@@ -19,7 +19,7 @@ import numpy as np
 from .embeddings import WordEmbeddingTable
 from .numerics import SeededRng
 from .probe import SplitPlan
-from .trees import ParseTree, read_tree_file, right_branching_parse
+from .trees import ParseTree, format_bracketed, read_tree_file, right_branching_parse
 
 __all__ = [
     "TaskFormatError",
@@ -383,15 +383,6 @@ def make_synthetic_embeddings(tokens, dim: int, seed: int = 0) -> WordEmbeddingT
 # ---------------------------------------------------------------------------
 
 
-def _tree_line(tree: ParseTree) -> str:
-    def render(node: ParseTree) -> str:
-        if node.is_leaf:
-            return f"(W {node.token})"
-        return f"(N {render(node.left)} {render(node.right)})"
-
-    return render(tree)
-
-
 def write_task_files(dataset: TaskDataset, out_dir: str) -> str:
     """Materialize a TaskDataset as TSVs plus a manifest; returns the
     manifest path. tv plans write train/dev/test files, cv plans a single
@@ -422,12 +413,12 @@ def write_task_files(dataset: TaskDataset, out_dir: str) -> str:
     if dataset.trees is not None:
         with open(os.path.join(out_dir, "trees.txt"), "w", encoding="utf-8") as fh:
             for i in order:
-                fh.write(_tree_line(dataset.trees[i]) + "\n")
+                fh.write(format_bracketed(dataset.trees[i]) + "\n")
         lines.append("trees=trees.txt")
     if dataset.trees2 is not None:
         with open(os.path.join(out_dir, "trees2.txt"), "w", encoding="utf-8") as fh:
             for i in order:
-                fh.write(_tree_line(dataset.trees2[i]) + "\n")
+                fh.write(format_bracketed(dataset.trees2[i]) + "\n")
         lines.append("trees2=trees2.txt")
     manifest_path = os.path.join(out_dir, "task.manifest")
     with open(manifest_path, "w", encoding="utf-8") as fh:

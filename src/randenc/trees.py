@@ -1,12 +1,14 @@
 """Constituency tree ingestion and the random binary TreeLSTM encoder.
 
-Bracketed parses (Penn-Treebank-style, labels ignored) are read into n-ary
-raw trees, then binarized right-branching with unary chains collapsed, so
-every sentence of L tokens yields exactly 2L - 1 nodes.
+Bracketed parses (Penn-Treebank-style, labels ignored) are read straight
+into binary trees, right-branching with unary chains collapsed, so every
+sentence of L tokens yields exactly 2L - 1 nodes.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -28,8 +30,8 @@ __all__ = [
     "TreeParseError",
     "ParseTree",
     "parse_bracketed",
+    "format_bracketed",
     "read_tree_file",
-    "binarize",
     "right_branching_parse",
     "TreeLstmParams",
     "build_tree_lstm",
@@ -106,86 +108,72 @@ class ParseTree:
 
 
 # ---------------------------------------------------------------------------
-# Bracketed parse reading.
+# Bracketed parse reading and writing.
 # ---------------------------------------------------------------------------
 
-# raw n-ary tree: a str token, or a list of children
-_RawNode = object
+# the atoms of a bracketed parse: a bracket, or a run of other non-space text
+_ATOM = re.compile(r"[()]|[^\s()]+")
 
 
-def _byte_offset(text: str, char_index: int) -> int:
-    return len(text[:char_index].encode("utf-8"))
+def _atom_offset(text: str, index: int) -> int:
+    """Byte offset of text's index-th atom; only an error report needs it."""
+    start = next(itertools.islice(_ATOM.finditer(text), index, None)).start()
+    return len(text[:start].encode("utf-8"))
 
 
 def parse_bracketed(text: str) -> ParseTree:
     """Parse one bracketed constituency tree, e.g.
     "(S (NP (DT the) (NN cat)) (VP sat))". Category labels are ignored;
     the result is already binarized. Raises TreeParseError with the byte
-    offset of the first problem."""
-    atoms = _lex(text)
+    offset of the first problem.
+
+    One pass with a stack of open nodes, so any depth or width loads. The
+    first atom after '(' is a label unless ')' follows it ("(word)" stands
+    for a bare leaf). At ')' a node with one child collapses onto it, and
+    more children fold right-branching: (a b c) -> (a (b c)).
+    """
+    atoms = _ATOM.findall(text)
     if not atoms:
         raise TreeParseError("empty parse", 0)
-    kind, _value, pos = atoms[0]
-    if kind != "(":
-        raise TreeParseError("parse must start with '('", _byte_offset(text, pos))
-    raw, next_idx = _parse_node(text, atoms, 0)
-    for kind, _value, pos in atoms[next_idx:]:
-        raise TreeParseError("trailing content after tree", _byte_offset(text, pos))
-    return binarize(raw)
-
-
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append((ch, ch, i))
-            i += 1
+    if atoms[0] != "(":
+        raise TreeParseError("parse must start with '('", _atom_offset(text, 0))
+    last = len(atoms) - 1
+    stack: list[tuple[int, list[ParseTree]]] = []  # (index of the '(', children)
+    for i, atom in enumerate(atoms):
+        if atom == "(":
+            stack.append((i, []))
+            continue
+        start, children = stack[-1]
+        if atom != ")":
+            if i != start + 1 or i == last or atoms[i + 1] == ")":
+                children.append(ParseTree(token=atom))
+            continue
+        stack.pop()
+        if not children:
+            raise TreeParseError("node has no children", _atom_offset(text, start))
+        node = children.pop()
+        while children:
+            node = ParseTree(left=children.pop(), right=node)
+        if stack:
+            stack[-1][1].append(node)
+        elif i < last:
+            raise TreeParseError("trailing content after tree", _atom_offset(text, i + 1))
         else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            out.append(("atom", text[start:i], start))
-    return out
+            return node
+    raise TreeParseError("unclosed '('", _atom_offset(text, stack[-1][0]))
 
 
-def _parse_node(text: str, atoms, idx: int):
-    """Parse the node opening at atoms[idx] ('('); returns (raw, next_idx)."""
-    open_pos = atoms[idx][2]
-    idx += 1
-    elements: list = []
-    saw_label = False
-    while True:
-        if idx >= len(atoms):
-            raise TreeParseError("unclosed '('", _byte_offset(text, open_pos))
-        kind, value, pos = atoms[idx]
-        if kind == ")":
-            idx += 1
-            break
-        if kind == "(":
-            child, idx = _parse_node(text, atoms, idx)
-            elements.append(child)
+def format_bracketed(tree: ParseTree) -> str:
+    """One line that parse_bracketed reads back as tree: "(W token)" per
+    leaf, "(N left right)" per internal node."""
+    done: list[str] = []
+    for node in tree.post_order():
+        if node.is_leaf:
+            done.append(f"(W {node.token})")
         else:
-            # the first atom directly after '(' is a category label unless it
-            # is the only element ("(word)" stands for a bare leaf)
-            if not elements and not saw_label and _peek_is_more(atoms, idx + 1):
-                saw_label = True
-            else:
-                elements.append(value)
-            idx += 1
-    if not elements:
-        raise TreeParseError("node has no children", _byte_offset(text, open_pos))
-    if len(elements) == 1:
-        return elements[0], idx
-    return elements, idx
-
-
-def _peek_is_more(atoms, idx: int) -> bool:
-    return idx < len(atoms) and atoms[idx][0] != ")"
+            right = done.pop()
+            done[-1] = f"(N {done[-1]} {right})"
+    return done[0]
 
 
 def read_tree_file(path: str) -> list[ParseTree]:
@@ -200,29 +188,6 @@ def read_tree_file(path: str) -> list[ParseTree]:
             except TreeParseError as exc:
                 raise TreeParseError(f"{path}:{line_no}: {exc.args[0]}", exc.offset) from None
     return trees
-
-
-def binarize(raw) -> ParseTree:
-    """Right-branching binarization with unary-chain collapse.
-
-    A raw node is a token string or a list of raw children. Chains with a
-    single child collapse onto that child, so an L-leaf tree always has
-    2L - 1 nodes.
-    """
-    if isinstance(raw, str):
-        return ParseTree(token=raw)
-    children = list(raw)
-    while len(children) == 1:
-        only = children[0]
-        if isinstance(only, str):
-            return ParseTree(token=only)
-        children = list(only)
-    if not children:
-        raise TreeParseError("node has no children", 0)
-    head = binarize(children[0])
-    if len(children) == 2:
-        return ParseTree(left=head, right=binarize(children[1]))
-    return ParseTree(left=head, right=binarize(children[1:]))
 
 
 def right_branching_parse(tokens: list[str]) -> ParseTree:

@@ -131,3 +131,15 @@ def test_encode_checkpoint_for_other_input_dim_leaves_output_untouched(tmp_path,
     assert cli.main(encode_args(tmp_path, "borep", "max", "out.txt", "--load-params", ckpt)) == 2
     assert "checkpoint holds borep with D=6" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_encode_rejects_bad_seed_before_reading(tmp_path, capsys, seed):
+    args = encode_args(tmp_path, "borep")
+    args[args.index("--seed") + 1] = seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)  # no input file exists: the flag is checked first
+    assert exc.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in (
+        capsys.readouterr().err
+    )

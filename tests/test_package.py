@@ -14,7 +14,7 @@ from randenc import selfcheck
 from randenc.cli import main
 from randenc.encoders import ENCODER_KINDS
 from randenc.runner import RESULTS_HEADER, ExperimentConfig
-from randenc.tasks import load_task
+from randenc.tasks import load_task, make_synthetic_order_task, write_task_files
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -96,17 +96,21 @@ def test_readme_samples_load(tmp_path):
     assert task.plan.kind == "tv" and len(task.trees) == 4
 
 
-def test_perfbench_tracer_installs(monkeypatch):
+def test_perfbench_tracer_installs(monkeypatch, tmp_path):
     # perfbench/tracing.py wraps library functions by name; a rename fails here
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     tracing = importlib.import_module("tracing")
     original = randenc.probe.loss_and_grad
+    manifest = write_task_files(make_synthetic_order_task(10), str(tmp_path / "order"))
     with tracing.Tracer() as tracer:
         assert randenc.probe.loss_and_grad is not original
         # the tracer reads spectral_radius's result; a change to its return
         # type must fail here, not in a traced benchmark run
         randenc.encoders.build_encoder("esn", 1, 4, 16, sparsity=0.5)
+        # the parses are read through the name the tracer wraps on tasks
+        load_task(manifest)
     assert randenc.probe.loss_and_grad is original
     assert "numerics.spectral_radius" in tracer.totals()
+    assert "trees.read_tree_file" in tracer.totals()
     assert tracer.counts["numerics.power_iterations"] == 0

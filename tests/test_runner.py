@@ -147,12 +147,13 @@ BAD_CONFIG_LINES = {
     "probe_seed": ("probe_seed=0", "config key 'probe_seed' was removed"),
     "probe_hidden": ("probe_hidden=50.0", "probe_hidden= takes int values"),
     "l2_grid": ("l2_grid=0.1,big", "l2_grid= takes float values, got '0.1,big'"),
+    "encoders": ("encoders=bogus", "unknown encoder kind 'bogus'"),
+    "encoder_hyper": ("encoders=cnn(window)", "expected key=value, got 'window'"),
 }
 
 
-@pytest.mark.parametrize("case", BAD_CONFIG_LINES)
-def test_from_file_error_names_line(tmp_path, case):
-    line, message = BAD_CONFIG_LINES[case]
+def stage_config_line(tmp_path, line):
+    """A staged config with line in it; returns (path, line number)."""
     key = line.partition("=")[0]
     # a key stage_experiment writes is replaced on its own line, others appended
     path = stage_experiment(tmp_path)
@@ -165,10 +166,39 @@ def test_from_file_error_names_line(tmp_path, case):
         lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    line_no = lines.index(line) + 1
+    return path, lines.index(line) + 1
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_LINES)
+def test_from_file_error_names_line(tmp_path, case):
+    line, message = BAD_CONFIG_LINES[case]
+    path, line_no = stage_config_line(tmp_path, line)
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_file(path)
     assert str(err.value).startswith(f"{path}:{line_no}: ")
+    assert message in str(err.value)
+
+
+# values that parse but fail a check of the whole config or of the probe
+BAD_CONFIG_VALUES = {
+    "oov": ("oov=foo", "oov policy must be drop or zero, got 'foo'"),
+    "poolings": ("poolings=median", "unknown pooling 'median'"),
+    "dims_zero": ("dims=0", "dims must be positive, got (0,)"),
+    "dims_empty": ("dims=", "dims and poolings must all be non-empty"),
+    "seeds_repeat": ("seeds=1,1", "seeds must be distinct, got (1, 1)"),
+    "seeds_negative": ("seeds=-1", "seeds must be non-negative, got (-1,)"),
+    "probe": ("probe=svm", "probe kind must be logreg or mlp, got 'svm'"),
+    "max_epochs": ("max_epochs=0", "max_epochs, patience and eval_interval must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
+def test_from_file_value_error_names_file(tmp_path, case):
+    line, message = BAD_CONFIG_VALUES[case]
+    path, _ = stage_config_line(tmp_path, line)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path)
+    assert str(err.value).startswith(f"{path}: ")
     assert message in str(err.value)
 
 

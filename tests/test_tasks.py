@@ -417,6 +417,23 @@ def test_write_then_reload_cv_roundtrip(tmp_path):
     assert reloaded.trees[3].node_count == ds.trees[3].node_count
 
 
+def test_write_then_reload_deep_tree(tmp_path):
+    from randenc.probe import SplitPlan
+
+    # a right-branching tree this deep must be written and read without recursion
+    texts = tuple(" ".join(f"w{j}" for j in range(2_000 - i)) for i in range(2))
+    trees = tuple(right_branching_parse(t.split()) for t in texts)
+    ds = TaskDataset(
+        "deep", "single", texts, None, ("0", "1"), ("0", "1"),
+        SplitPlan(kind="cv", folds=2), trees, None,
+    )
+    reloaded = load_task(write_task_files(ds, str(tmp_path / "deep")))
+    for a, b in zip(reloaded.trees, ds.trees):
+        assert a.leaf_tokens() == b.leaf_tokens()
+        assert a.node_count == b.node_count
+    assert reloaded.trees[0].node_count == 2 * 2_000 - 1
+
+
 def test_reload_is_stable_fixed_point(tmp_path):
     ds = make_synthetic_order_task(30, seed=8)
     m1 = write_task_files(ds, str(tmp_path / "a"))

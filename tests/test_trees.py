@@ -11,7 +11,6 @@ from randenc.numerics import SeededRng, uniform_init
 from randenc.trees import (
     ParseTree,
     TreeParseError,
-    binarize,
     build_tree_lstm,
     encode_tree_lstm,
     parse_bracketed,
@@ -107,18 +106,44 @@ def test_read_tree_file_reports_line(tmp_path):
 def test_node_count_always_2l_minus_1(n_leaves, seed):
     rng = np.random.default_rng(seed)
     tokens = [f"w{i}" for i in range(n_leaves)]
-    # random n-ary raw tree over the tokens, then binarize
+    # random n-ary grouping of the tokens, rendered as bracketed text
     def grow(items):
         if len(items) == 1:
             return items[0]
         n_groups = int(rng.integers(2, min(4, len(items)) + 1))
         cuts = sorted(rng.choice(np.arange(1, len(items)), size=n_groups - 1, replace=False))
         groups = np.split(np.array(items, dtype=object), cuts)
-        return [grow(list(g)) for g in groups]
+        return "(X " + " ".join(grow(list(g)) for g in groups) + ")"
 
-    tree = binarize(grow(tokens))
+    tree = parse_bracketed(f"(ROOT {grow(tokens)})")
     assert tree.leaf_tokens() == tokens
     assert tree.node_count == 2 * n_leaves - 1
+
+
+DEEP = 2_000  # past the interpreter's default recursion limit of 1,000
+
+
+DEEP_TOKENS = [f"w{i}" for i in range(DEEP)]
+DEEP_PARSES = {
+    "flat": "(S " + " ".join(f"(W {t})" for t in DEEP_TOKENS) + ")",
+    "nested": "".join(f"(S {t} " for t in DEEP_TOKENS[:-1])
+    + f"(W {DEEP_TOKENS[-1]})" + ")" * (DEEP - 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_PARSES)
+def test_parse_deep(shape):
+    tree = parse_bracketed(DEEP_PARSES[shape])
+    assert tree.leaf_count == DEEP
+    assert tree.node_count == 2 * DEEP - 1
+    assert tree.leaf_tokens() == DEEP_TOKENS
+
+
+def test_parse_deep_empty_node_reports_offset():
+    prefix = "".join(f"(S wé{i} " for i in range(DEEP))
+    with pytest.raises(TreeParseError, match="node has no children") as err:
+        parse_bracketed(prefix + "()" + ")" * DEEP)
+    assert err.value.offset == len(prefix.encode("utf-8"))  # the innermost "()"
 
 
 def test_right_branching_parse_shape():
