@@ -9,10 +9,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
-from .encoders import ConfigError, build_encoder, encode_corpus
+from .encoders import KINDS, ConfigError, build_encoder, encode_corpus
 from .runner import (
     ExperimentConfig,
     embed_texts,
@@ -24,11 +25,16 @@ from .runner import (
 from .tasks import read_parses
 
 
-def _seed(text: str) -> int:
-    """--seed: numpy's generators take only non-negative seeds."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _integer_at_least(minimum: int, expected: str):
+    """An argparse type for whole numbers >= minimum, checked before any file
+    is read."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     enc_p = sub.add_parser("encode", help="embed sentences with one frozen encoder")
     enc_p.add_argument("--encoder", required=True,
                        help="encoder kind, optionally with hyperparameters: cnn(window=2)")
-    enc_p.add_argument("--dim", required=True, type=int, help="output width D'")
-    enc_p.add_argument("--seed", required=True, type=_seed)
+    enc_p.add_argument("--dim", required=True, type=_integer_at_least(1, "a positive integer"),
+                       help="output width D'")
+    # numpy's generators take only non-negative seeds
+    enc_p.add_argument("--seed", required=True,
+                       type=_integer_at_least(0, "a non-negative integer"))
     enc_p.add_argument("--pooling", required=True, choices=("max", "mean"))
     enc_p.add_argument("--embeddings", required=True, help="word vectors, GloVe text format")
     enc_p.add_argument("--input", required=True, help="one sentence per line")
@@ -84,7 +93,7 @@ _ENCODE_BLOCK = 256
 
 def _cmd_encode(args) -> int:
     spec = parse_encoder_spec(args.encoder)
-    on_trees = spec.kind == "tree_lstm"
+    on_trees = KINDS[spec.kind].reads_parses
     # every input line is checked before the vectors load or the output opens
     with open(args.input, encoding="utf-8") as fh:
         sentences = [line.rstrip("\n") for line in fh]
@@ -94,7 +103,7 @@ def _cmd_encode(args) -> int:
     parses = [None] * len(sentences)
     if on_trees:
         if not args.trees:
-            raise ConfigError("tree_lstm encoding requires --trees")
+            raise ConfigError(f"{spec.kind} encoding requires --trees")
         parses = read_parses(args.trees, sentences)
     token_lists = tokenize_texts(sentences, tree=on_trees, lowercase=not args.no_lowercase,
                                  clean=args.clean)
@@ -109,6 +118,14 @@ def _cmd_encode(args) -> int:
                 f"checkpoint holds {params.kind} with D={params.in_dim}, D'={params.out_dim}; "
                 f"asked for {spec.kind} with D={table.dim}, D'={args.dim}"
             )
+        # the loaded weights fix the seed and hyperparameters: a flag that
+        # disagrees with them would otherwise be ignored without a word
+        held_fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        for name, asked in {"seed": args.seed, **spec.hyper_dict()}.items():
+            held = held_fields.get(name)
+            if isinstance(held, (bool, int, float, str)) and held != asked:
+                raise ConfigError(f"checkpoint holds {spec.kind} with {name}={held!r}; "
+                                  f"asked for {name}={asked!r}")
     else:
         params = build_encoder(spec.kind, args.seed, table.dim, args.dim, **spec.hyper_dict())
     if args.save_params:

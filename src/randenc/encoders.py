@@ -653,14 +653,13 @@ def build_encoder(kind: str, seed: int, in_dim: int, out_dim: int, **hyper):
 def encode(params, seq: TokenSequence, tree=None) -> ContextMatrix:
     """Run one frozen encoder over a sentence.
 
-    tree is required for (and only used by) the tree_lstm kind. Output is
-    validated finite; length is at least 1.
+    tree is required for (and only used by) a kind that reads parses. The
+    checks are encode_corpus's; output is finite and at least 1 row long.
     """
     kind = params.kind
     if kind not in KINDS:
         raise ConfigError(f"unknown encoder kind {kind!r}")
-    if kind == "tree_lstm" and tree is None:
-        raise ValueError("tree_lstm encoding requires a parse tree")
+    _check_sentence(params, seq, tree)
     values = KINDS[kind].encode(params, seq, tree)
     if not np.isfinite(values).all():
         raise ArithmeticError(f"{kind}: non-finite values in encoder output")
@@ -697,15 +696,13 @@ _TREE_BATCH_SENTENCES = 8
 
 
 def _check_sentence(params, seq: TokenSequence, tree) -> None:
-    """The checks encode() makes before any arithmetic, in its order and with
-    its messages."""
-    if params.kind == "tree_lstm":
-        if tree is None:
-            raise ValueError("tree_lstm encoding requires a parse tree")
-        _check_input_dim(params, seq)
+    """The checks encode() and encode_corpus() make before any arithmetic."""
+    reads_parses = KINDS[params.kind].reads_parses
+    if reads_parses and tree is None:
+        raise ValueError(f"{params.kind} encoding requires a parse tree")
+    _check_input_dim(params, seq)
+    if reads_parses:
         trees.check_leaf_count(tree, seq)
-    else:
-        _check_input_dim(params, seq)
 
 
 def encode_corpus(
@@ -736,8 +733,8 @@ def encode_corpus(
     for seq, tree in zip(seqs, trees):
         _check_sentence(params, seq, tree)
 
-    encode_batch = KINDS[params.kind].encode_batch
-    cap = _TREE_BATCH_SENTENCES if params.kind == "tree_lstm" else _BATCH_SENTENCES
+    entry = KINDS[params.kind]
+    cap = _TREE_BATCH_SENTENCES if entry.reads_parses else _BATCH_SENTENCES
     lengths = [len(seq) for seq in seqs]
     order = sorted(range(len(seqs)), key=lengths.__getitem__)
     out = {kind: np.empty((len(seqs), params.out_dim)) for kind in poolings}
@@ -745,7 +742,7 @@ def encode_corpus(
         run = list(run)
         for lo in range(0, len(run), cap):
             idx = run[lo : lo + cap]
-            values = encode_batch(params, [seqs[i] for i in idx], [trees[i] for i in idx])
+            values = entry.encode_batch(params, [seqs[i] for i in idx], [trees[i] for i in idx])
             if not np.isfinite(values).all():
                 raise ArithmeticError(f"{params.kind}: non-finite values in encoder output")
             for kind, rows in out.items():
@@ -763,12 +760,14 @@ class EncoderKind(NamedTuple):
     (seed, in_dim, out_dim, **hyper) -> params, its per-sentence encoder
     (params, seq, tree) -> T x D' array, and its batch encoder
     (params, seqs, trees) -> B x T x D' array over B checked sentences of
-    one length, T the rows encode gives each of them."""
+    one length, T the rows encode gives each of them. reads_parses marks a
+    kind that takes one parse per sentence; the others get None."""
 
     params: type
     build: Callable
     encode: Callable
     encode_batch: Callable
+    reads_parses: bool = False
 
 
 def _sequence_kind(
@@ -785,25 +784,24 @@ def _sequence_kind(
 # trees builds on this module's LSTM pieces, so it is imported once they exist
 from . import trees  # noqa: E402
 
-KINDS = {
-    "borep": _sequence_kind(BorepParams, build_borep, encode_borep, encode_borep_batch),
-    "rand_lstm": _sequence_kind(
-        RandLstmParams, build_rand_lstm, encode_rand_lstm, encode_rand_lstm_batch
-    ),
-    "esn": _sequence_kind(EsnParams, build_esn, encode_esn, encode_esn_batch),
-    "cnn": _sequence_kind(CnnParams, build_cnn, encode_cnn, encode_cnn_batch),
-    "self_attention": _sequence_kind(
+KINDS = {entry.params.kind: entry for entry in (
+    _sequence_kind(BorepParams, build_borep, encode_borep, encode_borep_batch),
+    _sequence_kind(RandLstmParams, build_rand_lstm, encode_rand_lstm, encode_rand_lstm_batch),
+    _sequence_kind(EsnParams, build_esn, encode_esn, encode_esn_batch),
+    _sequence_kind(CnnParams, build_cnn, encode_cnn, encode_cnn_batch),
+    _sequence_kind(
         SelfAttentionParams,
         build_self_attention,
         encode_self_attention,
         encode_self_attention_batch,
     ),
     # looked up on trees at each call, so a wrapper set on that module is used
-    "tree_lstm": EncoderKind(
+    EncoderKind(
         trees.TreeLstmParams,
         lambda *args, **hyper: trees.build_tree_lstm(*args, **hyper),
         lambda p, seq, tree: trees.encode_tree_lstm(p, seq, tree),
         lambda p, seqs, parses: trees.encode_tree_lstm_batch(p, seqs, parses),
+        reads_parses=True,
     ),
-}
+)}
 ENCODER_KINDS = tuple(KINDS)

@@ -241,6 +241,20 @@ def fit(
     return best_params, best_acc, epochs_run, tuple(history)
 
 
+def _check_examples(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Features as a finite 2-d float array and labels aligned with its rows,
+    checked before any fold or split indexes them."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("embeddings must be a 2-d array, one row per example")
+    if not np.isfinite(x).all():
+        raise ValueError("embeddings contain non-finite values")
+    y = np.asarray(labels, dtype=np.int64)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError("embeddings and labels must align one to one")
+    return x, y
+
+
 def _check_labels(y: np.ndarray, n_classes: int, which: str) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1:
@@ -278,14 +292,7 @@ def train_probe(
     if plan.kind != "tv":
         raise ValueError(f"train_probe takes tv split plans; score a {plan.kind} plan "
                          "with kfold_accuracy")
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("embeddings must be a 2-d array, one row per example")
-    if not np.isfinite(x).all():
-        raise ValueError("embeddings contain non-finite values")
-    y = np.asarray(labels, dtype=np.int64)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("embeddings and labels must align one to one")
+    x, y = _check_examples(embeddings, labels)
 
     tr, dv, te = (np.array(ix, dtype=np.int64) for ix in (plan.train, plan.dev, plan.test))
     n_classes = _n_train_classes(y[tr])
@@ -368,8 +375,7 @@ def _inner_dev_split(y_train: np.ndarray, seed: int):
 def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: ProbeConfig) -> float:
     """Mean held-out accuracy over deterministic stratified k folds; each
     fold picks its l2 on an inner dev split of its training examples."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    x, y = _check_examples(embeddings, labels)
     assignment = stratified_folds(y, k, config.seed)
     accuracies = []
     for fold in range(k):

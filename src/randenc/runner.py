@@ -347,7 +347,7 @@ def _prepare_tasks(
     parses or None) per corpus, two for pair tasks. A path no swept kind
     reads is left out. Each text is tokenized once per path; the union of
     those tokens is the vocabulary the vectors are loaded for."""
-    paths = sorted({spec.kind == "tree_lstm" for spec in config.encoders})
+    paths = sorted({enc.KINDS[spec.kind].reads_parses for spec in config.encoders})
     tokenized = []
     for dataset in datasets:
         corpora = [(dataset.texts, dataset.trees)]
@@ -416,7 +416,7 @@ def _run_job(
         params = enc.build_encoder(spec.kind, seed, in_dim, dim, **spec.hyper_dict())
         pooled = [
             enc.encode_corpus(params, list(seqs), config.poolings, trees=parses)
-            for seqs, parses in corpora[spec.kind == "tree_lstm"]
+            for seqs, parses in corpora[enc.KINDS[spec.kind].reads_parses]
         ]
     except Exception as exc:  # crash isolation: one bad job never kills the sweep
         shared = time.perf_counter() - start
@@ -449,13 +449,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     names = tuple(ds.name for ds in datasets)
     if len(set(names)) != len(names):
         raise ConfigError(f"task names must be distinct, got {names}")
-    if any(spec.kind == "tree_lstm" for spec in config.encoders):
-        missing = [ds.name for ds in datasets if not ds.has_trees]
-        if missing:
-            raise ConfigError(
-                "tree_lstm is in the encoder list but these tasks have no "
-                f"parse trees: {', '.join(missing)}"
-            )
+    parsed = [spec.kind for spec in config.encoders if enc.KINDS[spec.kind].reads_parses]
+    missing = [ds.name for ds in datasets if not ds.has_trees]
+    if parsed and missing:
+        raise ConfigError(
+            f"{parsed[0]} is in the encoder list but these tasks have no "
+            f"parse trees: {', '.join(missing)}"
+        )
     table, prepared = _prepare_tasks(config, datasets)
 
     rows = [

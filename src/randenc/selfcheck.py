@@ -84,7 +84,7 @@ def check_batched_encode() -> None:
     for kind in encoders.ENCODER_KINDS:
         hyper = {"sparsity": 0.5} if kind == "esn" else {}
         params = encoders.build_encoder(kind, 8, 6, 16, **hyper)
-        sentence_trees = parses if kind == "tree_lstm" else [None] * len(seqs)
+        sentence_trees = parses if encoders.KINDS[kind].reads_parses else [None] * len(seqs)
         pooled = encoders.encode_corpus(params, seqs, ("max", "mean"), trees=sentence_trees)
         for pooling, rows in pooled.items():
             oracle = np.array([

@@ -54,7 +54,7 @@ class TreeParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ParseTree:
     """Binary constituency node: a leaf carries a token, an internal node
     carries exactly two children."""
@@ -105,6 +105,38 @@ class ParseTree:
     @property
     def node_count(self) -> int:
         return sum(1 for _ in self.post_order())
+
+    def __repr__(self) -> str:
+        """The dataclass repr, built without recursion."""
+        parts: list[str] = []
+        stack: list[ParseTree | str] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif node.is_leaf:
+                parts.append(f"ParseTree(token={node.token!r}, left=None, right=None)")
+            else:
+                parts.append("ParseTree(token=None, left=")
+                stack += [")", node.right, ", right=", node.left]
+        return "".join(parts)
+
+    def __reduce__(self):
+        # pickled as its post-order tokens (None for an internal node), so
+        # any depth pickles and any token reads back
+        return _from_post_order, (tuple(node.token for node in self.post_order()),)
+
+
+def _from_post_order(tokens: tuple[str | None, ...]) -> ParseTree:
+    """Rebuild a ParseTree from ParseTree.__reduce__'s token sequence."""
+    stack: list[ParseTree] = []
+    for token in tokens:
+        if token is None:
+            right = stack.pop()
+            stack[-1] = ParseTree(left=stack[-1], right=right)
+        else:
+            stack.append(ParseTree(token=token))
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

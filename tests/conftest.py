@@ -1,7 +1,12 @@
+from dataclasses import dataclass, fields
+from typing import ClassVar
+
 import numpy as np
 import pytest
 
+from randenc import encoders as enc
 from randenc.embeddings import TokenSequence, WordEmbeddingTable
+from randenc.trees import TreeLstmParams, build_tree_lstm
 
 
 @pytest.fixture
@@ -42,3 +47,22 @@ def seq_factory(nprng):
         return make_seq(nprng, t_len, dim)
 
     return factory
+
+
+@dataclass(frozen=True)
+class TwinTreeParams(TreeLstmParams):
+    kind: ClassVar[str] = "twin_tree"
+
+
+def add_twin_tree_kind(monkeypatch) -> str:
+    """Register a second kind that reads parses: tree_lstm's weights and
+    arithmetic under another name. Returns the kind's name."""
+
+    def build(*args, **hyper):
+        drawn = build_tree_lstm(*args, **hyper)
+        return TwinTreeParams(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})
+
+    entry = enc.KINDS["tree_lstm"]._replace(params=TwinTreeParams, build=build)
+    monkeypatch.setitem(enc.KINDS, TwinTreeParams.kind, entry)
+    monkeypatch.setattr(enc, "ENCODER_KINDS", tuple(enc.KINDS))
+    return TwinTreeParams.kind

@@ -14,7 +14,7 @@ from randenc.tasks import (
     synthetic_vocabulary,
 )
 
-from conftest import assert_matches_oracle
+from conftest import add_twin_tree_kind, assert_matches_oracle
 
 EMBED_DIM = 6
 # at D'=8 the default esn sparsity can leave a reservoir with zero radius
@@ -143,3 +143,45 @@ def test_encode_rejects_bad_seed_before_reading(tmp_path, capsys, seed):
     assert f"argument --seed: expected a non-negative integer, got '{seed}'" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_encode_rejects_bad_dim_before_reading(tmp_path, capsys, dim):
+    args = encode_args(tmp_path, "borep")
+    args[args.index("--dim") + 1] = dim
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)  # no input file exists: the flag is checked first
+    assert exc.value.code == 2
+    assert f"argument --dim: expected a positive integer, got '{dim}'" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--seed", "7", "seed=2; asked for seed=7"),
+    ("--encoder", "cnn(window=1)", "window=3; asked for window=1"),
+], ids=["seed", "hyperparameter"])
+def test_encode_flag_that_disagrees_with_checkpoint_leaves_output_untouched(
+    tmp_path, capsys, flag, value, named
+):
+    stage_inputs(tmp_path, 10)
+    ckpt = str(tmp_path / "params.npz")
+    assert cli.main(encode_args(tmp_path, "cnn", "max", "drawn.txt", "--save-params", ckpt)) == 0
+    args = encode_args(tmp_path, "cnn", "max", "out.txt", "--load-params", ckpt)
+    args[args.index(flag) + 1] = value
+    assert cli.main(args) == 2
+    assert f"error: checkpoint holds cnn with {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["tree_lstm", "twin_tree"])
+def test_encode_kind_that_reads_parses_needs_trees(tmp_path, capsys, monkeypatch, twin):
+    # the CLI asks the kind table whether --trees is needed, not a kind name
+    kind = add_twin_tree_kind(monkeypatch) if twin else "tree_lstm"
+    stage_inputs(tmp_path, 10)
+    args = encode_args(tmp_path, kind)
+    del args[args.index("--trees"):args.index("--trees") + 2]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {kind} encoding requires --trees\n"
+    assert cli.main(encode_args(tmp_path, kind, "max", "out.txt")) == 0
+    assert cli.main(encode_args(tmp_path, "tree_lstm", "max", "tree.txt")) == 0
+    assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "tree.txt").read_bytes()

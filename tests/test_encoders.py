@@ -33,7 +33,7 @@ from randenc.numerics import SeededRng, uniform_init
 from randenc.runner import parse_encoder_spec
 from randenc.trees import ParseTree, right_branching_parse
 
-from conftest import ORACLE_TOL, assert_matches_oracle, make_seq
+from conftest import ORACLE_TOL, add_twin_tree_kind, assert_matches_oracle, make_seq
 
 
 def _frozen(a):
@@ -581,6 +581,26 @@ def test_encode_corpus_error_parity(failure, nprng):
         encode_corpus(params, seqs, ("max",), trees=trees)
     assert type(batched.value) is type(per_sentence.value)
     assert str(batched.value) == str(per_sentence.value)
+
+
+def test_any_kind_that_reads_parses_is_checked_and_batched_as_one(monkeypatch, nprng):
+    # encode() and encode_corpus() ask the kind table, not a kind name
+    twin = add_twin_tree_kind(monkeypatch)
+    seqs = [make_seq(nprng, int(t), 6) for t in nprng.integers(1, 8, 40)]
+    trees = mixed_parses(seqs)
+    by_kind = {kind: enc.build_encoder(kind, 4, 6, 16) for kind in ("tree_lstm", twin)}
+    pooled = {
+        kind: encode_corpus(params, seqs, ("max", "mean"), trees=trees)
+        for kind, params in by_kind.items()
+    }
+    for pooling in ("max", "mean"):
+        assert np.array_equal(pooled[twin][pooling], pooled["tree_lstm"][pooling])
+    for kind, params in by_kind.items():
+        message = f"^{kind} encoding requires a parse tree$"
+        with pytest.raises(ValueError, match=message):
+            encode(params, seqs[0])
+        with pytest.raises(ValueError, match=message):
+            encode_corpus(params, seqs, ("max",))
 
 
 def test_encode_and_pool_provenance(nprng):

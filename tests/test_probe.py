@@ -362,6 +362,30 @@ def test_same_seed_same_cv_result():
     assert kfold_accuracy(x, y, 5, cfg) == kfold_accuracy(x, y, 5, cfg)
 
 
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "embeddings contain non-finite values"),
+    ("misaligned", "embeddings and labels must align one to one"),
+    ("one_d", "embeddings must be a 2-d array, one row per example"),
+], ids=["nan", "misaligned", "one_d"])
+@pytest.mark.parametrize("scorer", ["kfold_accuracy", "train_probe"])
+def test_bad_examples_rejected_before_any_fit(defect, message, scorer):
+    x, y = make_blobs(40, margin=2.0, seed=4)
+    if defect == "nan":
+        x[5, 1] = np.nan
+    elif defect == "misaligned":
+        x = x[:-3]
+    else:
+        x = x[:, 0]
+    config = ProbeConfig(max_epochs=20)
+    with pytest.raises(ValueError, match=message):
+        if scorer == "kfold_accuracy":
+            kfold_accuracy(x, y, 4, config)
+        else:
+            plan = SplitPlan(kind="tv", train=tuple(range(0, 40, 2)),
+                             dev=tuple(range(1, 20, 2)), test=tuple(range(21, 40, 2)))
+            train_probe(x, y, plan, config)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------

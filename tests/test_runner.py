@@ -33,7 +33,7 @@ from randenc.tasks import (
 from randenc.embeddings import EmbeddingFormatError, write_embeddings
 from randenc.probe import ProbeConfig, SplitPlan, kfold_accuracy
 
-from conftest import assert_matches_oracle
+from conftest import add_twin_tree_kind, assert_matches_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,27 @@ def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
                 for seq, tree in zip(seqs, trees)
             ])
             assert_matches_oracle(kind, pooled[pooling], oracle)
+
+
+def test_any_kind_that_reads_parses_gets_them(tmp_path, monkeypatch):
+    # the runner asks the kind table, not a kind name, which kinds read parses
+    twin = add_twin_tree_kind(monkeypatch)
+    path = stage_experiment(tmp_path, n=40, encoders=f"tree_lstm,{twin}", dims="8",
+                            seeds="1,2", poolings="max,mean")
+    result = run_experiment(ExperimentConfig.from_file(path))
+    assert not result.errors
+    tree_rows = [row for row in result.rows if row.encoder == "tree_lstm"]
+    twin_rows = [replace(row, encoder="tree_lstm") for row in result.rows if row.encoder == twin]
+    assert len(twin_rows) == 4 and twin_rows == tree_rows
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["tree_lstm", "twin_tree"])
+def test_kind_that_reads_parses_needs_tasks_with_parses(tmp_path, monkeypatch, twin):
+    kind = add_twin_tree_kind(monkeypatch) if twin else "tree_lstm"
+    path = stage_experiment(tmp_path, encoders=f"borep,{kind}", with_trees=False)
+    with pytest.raises(ConfigError, match=f"^{kind} is in the encoder list but these "
+                                          "tasks have no parse trees: order$"):
+        run_experiment(ExperimentConfig.from_file(path))
 
 
 @pytest.mark.parametrize("encoders, policies", [

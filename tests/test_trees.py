@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -153,6 +154,41 @@ def test_right_branching_parse_shape():
     assert tree.left.token == "a"
     with pytest.raises(ValueError):
         right_branching_parse([])
+
+
+def post_order_tokens(tree):
+    # with None for an internal node, this sequence fixes a binary tree
+    return [node.token for node in tree.post_order()]
+
+
+def test_repr_is_the_dataclass_repr():
+    tree = ParseTree(left=ParseTree(token="a"), right=ParseTree(token="b"))
+    assert repr(tree) == (
+        "ParseTree(token=None, left=ParseTree(token='a', left=None, right=None), "
+        "right=ParseTree(token='b', left=None, right=None))"
+    )
+
+
+def test_repr_and_pickle_deep():
+    tree = right_branching_parse(DEEP_TOKENS)
+    text = repr(tree)
+    assert text.startswith("ParseTree(token=None, left=ParseTree(token='w0', ")
+    last_leaf = f"ParseTree(token='w{DEEP - 1}', left=None, right=None)"
+    assert text.endswith(last_leaf + ")" * (DEEP - 1))
+    loaded = pickle.loads(pickle.dumps(tree))
+    assert post_order_tokens(loaded) == post_order_tokens(tree)
+    assert repr(loaded) == text
+
+
+def test_pickle_round_trip_keeps_bracket_tokens():
+    # format_bracketed cannot carry these tokens: "f(x)" would read back as a node
+    tree = ParseTree(
+        left=right_branching_parse(["f(x)", "(", ")"]),
+        right=right_branching_parse(["a)b", "(c"]),
+    )
+    loaded = pickle.loads(pickle.dumps(tree))
+    assert post_order_tokens(loaded) == post_order_tokens(tree)
+    assert loaded.leaf_tokens() == ["f(x)", "(", ")", "a)b", "(c"]
 
 
 def test_parsetree_validates_shape():
