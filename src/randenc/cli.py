@@ -13,7 +13,7 @@ import dataclasses
 import sys
 
 from . import __version__
-from .encoders import KINDS, ConfigError, build_encoder, encode_corpus
+from .encoders import KINDS, POOLINGS, ConfigError, build_encoder, encode_corpus
 from .runner import (
     ExperimentConfig,
     embed_texts,
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # numpy's generators take only non-negative seeds
     enc_p.add_argument("--seed", required=True,
                        type=_integer_at_least(0, "a non-negative integer"))
-    enc_p.add_argument("--pooling", required=True, choices=("max", "mean"))
+    enc_p.add_argument("--pooling", required=True, choices=POOLINGS)
     enc_p.add_argument("--embeddings", required=True, help="word vectors, GloVe text format")
     enc_p.add_argument("--input", required=True, help="one sentence per line")
     enc_p.add_argument("--output", required=True,
@@ -94,17 +94,17 @@ _ENCODE_BLOCK = 256
 def _cmd_encode(args) -> int:
     spec = parse_encoder_spec(args.encoder)
     on_trees = KINDS[spec.kind].reads_parses
+    if on_trees and not args.trees:
+        raise ConfigError(f"{spec.kind} encoding requires --trees")
+    if args.trees and not on_trees:
+        raise ConfigError(f"{spec.kind} encoding reads no parses; --trees does not apply")
     # every input line is checked before the vectors load or the output opens
     with open(args.input, encoding="utf-8") as fh:
         sentences = [line.rstrip("\n") for line in fh]
     for line_no, sentence in enumerate(sentences, start=1):
         if not sentence.split():
             raise ValueError(f"{args.input}:{line_no}: empty line")
-    parses = [None] * len(sentences)
-    if on_trees:
-        if not args.trees:
-            raise ConfigError(f"{spec.kind} encoding requires --trees")
-        parses = read_parses(args.trees, sentences)
+    parses = read_parses(args.trees, sentences) if on_trees else [None] * len(sentences)
     token_lists = tokenize_texts(sentences, tree=on_trees, lowercase=not args.no_lowercase,
                                  clean=args.clean)
     table = load_used_vectors(args.embeddings, token_lists)
@@ -119,10 +119,14 @@ def _cmd_encode(args) -> int:
                 f"asked for {spec.kind} with D={table.dim}, D'={args.dim}"
             )
         # the loaded weights fix the seed and hyperparameters: a flag that
-        # disagrees with them would otherwise be ignored without a word
+        # disagrees with them, or that they do not record, would otherwise be
+        # ignored without a word
         held_fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
         for name, asked in {"seed": args.seed, **spec.hyper_dict()}.items():
-            held = held_fields.get(name)
+            if name not in held_fields:
+                raise ConfigError(f"checkpoint holds {spec.kind} without {name}; "
+                                  f"asked for {name}={asked!r}")
+            held = held_fields[name]
             if isinstance(held, (bool, int, float, str)) and held != asked:
                 raise ConfigError(f"checkpoint holds {spec.kind} with {name}={held!r}; "
                                   f"asked for {name}={asked!r}")

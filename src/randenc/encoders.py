@@ -14,6 +14,7 @@ Reproducibility contract: parameters are drawn from randenc.numerics.SeededRng
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -795,10 +796,13 @@ KINDS = {entry.params.kind: entry for entry in (
         encode_self_attention,
         encode_self_attention_batch,
     ),
-    # looked up on trees at each call, so a wrapper set on that module is used
+    # looked up on trees at each call, so a wrapper set on that module is used;
+    # wraps gives the builder's signature, which parse_encoder_spec reads
     EncoderKind(
         trees.TreeLstmParams,
-        lambda *args, **hyper: trees.build_tree_lstm(*args, **hyper),
+        functools.wraps(trees.build_tree_lstm)(
+            lambda *args, **hyper: trees.build_tree_lstm(*args, **hyper)
+        ),
         lambda p, seq, tree: trees.encode_tree_lstm(p, seq, tree),
         lambda p, seqs, parses: trees.encode_tree_lstm_batch(p, seqs, parses),
         reads_parses=True,

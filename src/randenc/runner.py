@@ -18,6 +18,7 @@ bytes (set timing=off to also pin wall_ms).
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import os
 import time
@@ -92,7 +93,8 @@ def _parse_value(raw: str):
 
 
 def parse_encoder_spec(token: str) -> EncoderSpec:
-    """Parse "kind" or "kind(key=value,key=value)" into an EncoderSpec."""
+    """Parse "kind" or "kind(key=value,key=value)" into an EncoderSpec. Each
+    key must be a name the kind's builder takes, given once."""
     token = token.strip()
     if "(" in token:
         if not token.endswith(")"):
@@ -111,7 +113,29 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
         raise ConfigError(
             f"unknown encoder kind {kind!r}; expected one of {enc.ENCODER_KINDS}"
         )
+    names = [key for key, _ in hyper]
+    taken = _hyperparameter_names(kind)
+    for key in names:
+        if names.count(key) > 1:
+            raise ConfigError(
+                f"encoder spec {token!r}: bad hyperparameters ({key!r} is given more than once)"
+            )
+        if taken is not None and key not in taken:
+            expected = f"; it takes {', '.join(taken)}" if taken else ""
+            raise ConfigError(
+                f"encoder spec {token!r}: bad hyperparameters ({kind} takes no {key!r}{expected})"
+            )
     return EncoderSpec(kind, tuple(hyper), token)
+
+
+def _hyperparameter_names(kind: str) -> tuple[str, ...] | None:
+    """The names kind's builder takes after seed, in_dim and out_dim, or None
+    when it takes any name (**kwargs)."""
+    params = inspect.signature(enc.KINDS[kind].build).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return None
+    named = [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    return tuple(named[3:])
 
 
 # config-file keys: the ExperimentConfig fields plus the probe's settings

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import checkpoint, embeddings, encoders, numerics, probe, tasks, trees
 from .embeddings import EmbeddingFormatError, TokenSequence
+from .trees import right_branching_parse
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -80,7 +81,7 @@ def check_esn_contract() -> None:
 def check_batched_encode() -> None:
     rng = np.random.default_rng(17)
     seqs = [_random_seq(rng, t, 6) for t in (1, 2, 5, 5, 3, 9, 5, 1)]
-    parses = [trees.right_branching_parse(s.tokens) for s in seqs]
+    parses = [right_branching_parse(s.tokens) for s in seqs]
     for kind in encoders.ENCODER_KINDS:
         hyper = {"sparsity": 0.5} if kind == "esn" else {}
         params = encoders.build_encoder(kind, 8, 6, 16, **hyper)

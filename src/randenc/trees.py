@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,89 +54,34 @@ class TreeParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class ParseTree:
-    """Binary constituency node: a leaf carries a token, an internal node
-    carries exactly two children."""
+    """A binary constituency parse as its nodes in post-order: a leaf is its
+    token, and None is an internal node that joins the two subtrees just
+    before it. So (a (b c)) is ("a", "b", "c", None, None). Being one flat
+    tuple, it compares, hashes, prints and pickles at any depth."""
 
-    token: str | None = None
-    left: "ParseTree | None" = None
-    right: "ParseTree | None" = None
+    tokens: tuple[str | None, ...]
 
     def __post_init__(self):
-        if self.token is not None:
-            if self.left is not None or self.right is not None:
-                raise ValueError("a leaf cannot have children")
-        elif self.left is None or self.right is None:
-            raise ValueError("an internal node needs both children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.token is not None
-
-    def post_order(self) -> Iterator["ParseTree"]:
-        """Children before parents, left before right, without recursion."""
-        stack: list[tuple[ParseTree, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.is_leaf or expanded:
-                yield node
-            else:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
+        open_subtrees = 0
+        for token in self.tokens:
+            open_subtrees += 1 if token is not None else -1
+            if open_subtrees < 1:
+                raise ValueError("an internal node needs two subtrees before it")
+        if open_subtrees != 1:
+            raise ValueError(f"post-order tokens form {open_subtrees} trees, not one")
 
     def leaf_tokens(self) -> list[str]:
-        return [n.token for n in self.post_order() if n.is_leaf]
+        return [token for token in self.tokens if token is not None]
 
     @property
     def leaf_count(self) -> int:
-        """len(leaf_tokens()), without building the list."""
-        count, stack = 0, [self]
-        while stack:
-            node = stack.pop()
-            if node.token is None:
-                stack.append(node.left)
-                stack.append(node.right)
-            else:
-                count += 1
-        return count
+        return len(self.tokens) - self.tokens.count(None)
 
     @property
     def node_count(self) -> int:
-        return sum(1 for _ in self.post_order())
-
-    def __repr__(self) -> str:
-        """The dataclass repr, built without recursion."""
-        parts: list[str] = []
-        stack: list[ParseTree | str] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif node.is_leaf:
-                parts.append(f"ParseTree(token={node.token!r}, left=None, right=None)")
-            else:
-                parts.append("ParseTree(token=None, left=")
-                stack += [")", node.right, ", right=", node.left]
-        return "".join(parts)
-
-    def __reduce__(self):
-        # pickled as its post-order tokens (None for an internal node), so
-        # any depth pickles and any token reads back
-        return _from_post_order, (tuple(node.token for node in self.post_order()),)
-
-
-def _from_post_order(tokens: tuple[str | None, ...]) -> ParseTree:
-    """Rebuild a ParseTree from ParseTree.__reduce__'s token sequence."""
-    stack: list[ParseTree] = []
-    for token in tokens:
-        if token is None:
-            right = stack.pop()
-            stack[-1] = ParseTree(left=stack[-1], right=right)
-        else:
-            stack.append(ParseTree(token=token))
-    return stack[0]
+        return len(self.tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +107,8 @@ def parse_bracketed(text: str) -> ParseTree:
     One pass with a stack of open nodes, so any depth or width loads. The
     first atom after '(' is a label unless ')' follows it ("(word)" stands
     for a bare leaf). At ')' a node with one child collapses onto it, and
-    more children fold right-branching: (a b c) -> (a (b c)).
+    more children fold right-branching: (a b c) -> (a (b c)). In post-order
+    that fold is the children followed by one None per join.
     """
     atoms = _ATOM.findall(text)
     if not atoms:
@@ -170,28 +116,28 @@ def parse_bracketed(text: str) -> ParseTree:
     if atoms[0] != "(":
         raise TreeParseError("parse must start with '('", _atom_offset(text, 0))
     last = len(atoms) - 1
-    stack: list[tuple[int, list[ParseTree]]] = []  # (index of the '(', children)
+    tokens: list[str | None] = []
+    stack: list[list[int]] = []  # [index of the '(', children so far]
     for i, atom in enumerate(atoms):
         if atom == "(":
-            stack.append((i, []))
+            stack.append([i, 0])
             continue
-        start, children = stack[-1]
+        node = stack[-1]
         if atom != ")":
-            if i != start + 1 or i == last or atoms[i + 1] == ")":
-                children.append(ParseTree(token=atom))
+            if i != node[0] + 1 or i == last or atoms[i + 1] == ")":
+                tokens.append(atom)
+                node[1] += 1
             continue
-        stack.pop()
-        if not children:
+        start, n_children = stack.pop()
+        if not n_children:
             raise TreeParseError("node has no children", _atom_offset(text, start))
-        node = children.pop()
-        while children:
-            node = ParseTree(left=children.pop(), right=node)
+        tokens.extend([None] * (n_children - 1))
         if stack:
-            stack[-1][1].append(node)
+            stack[-1][1] += 1
         elif i < last:
             raise TreeParseError("trailing content after tree", _atom_offset(text, i + 1))
         else:
-            return node
+            return ParseTree(tuple(tokens))
     raise TreeParseError("unclosed '('", _atom_offset(text, stack[-1][0]))
 
 
@@ -199,12 +145,12 @@ def format_bracketed(tree: ParseTree) -> str:
     """One line that parse_bracketed reads back as tree: "(W token)" per
     leaf, "(N left right)" per internal node."""
     done: list[str] = []
-    for node in tree.post_order():
-        if node.is_leaf:
-            done.append(f"(W {node.token})")
-        else:
+    for token in tree.tokens:
+        if token is None:
             right = done.pop()
             done[-1] = f"(N {done[-1]} {right})"
+        else:
+            done.append(f"(W {token})")
     return done[0]
 
 
@@ -226,10 +172,7 @@ def right_branching_parse(tokens: list[str]) -> ParseTree:
     """Fallback parse for plain token lists: (t1 (t2 (... tL)))."""
     if not tokens:
         raise ValueError("cannot build a tree over zero tokens")
-    node = ParseTree(token=tokens[-1])
-    for tok in reversed(tokens[:-1]):
-        node = ParseTree(left=ParseTree(token=tok), right=node)
-    return node
+    return ParseTree(tuple(tokens) + (None,) * (len(tokens) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +275,21 @@ def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree
     ctx = bilstm_states(params.leaf_forward, params.leaf_backward, seq.vectors)
     d = params.out_dim
     zero = np.zeros(d)
-    states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    subtrees: list[tuple[np.ndarray, np.ndarray]] = []  # (h, c) of each one not yet joined
     rows = []
     leaf_idx = 0
-    for node in tree.post_order():
-        if node.is_leaf:
+    for token in tree.tokens:
+        if token is None:
+            h_r, c_r = subtrees.pop()
+            h_l, c_l = subtrees.pop()
+            z = params.u_l @ h_l + params.u_r @ h_r + params.b
+            h, c = _tree_cell(params, z, c_l, c_r)
+        else:
             z = params.w @ ctx[leaf_idx] + params.b
             leaf_idx += 1
             h, c = _tree_cell(params, z, zero, zero)
-        else:
-            h_l, c_l = states.pop(id(node.left))
-            h_r, c_r = states.pop(id(node.right))
-            z = params.u_l @ h_l + params.u_r @ h_r + params.b
-            h, c = _tree_cell(params, z, c_l, c_r)
-        states[id(node)] = (h, c)
-        if params.node_domain == "all" or node.is_leaf:
+        subtrees.append((h, c))
+        if params.node_domain == "all" or token is not None:
             rows.append(h)
     return np.vstack(rows)
 
@@ -359,17 +302,17 @@ def _height_levels(trees: list[ParseTree], n_nodes: int):
     leaf_rows: list[int] = []
     by_height: dict[int, list[tuple[int, int, int]]] = {}
     for b, tree in enumerate(trees):
-        placed: dict[int, tuple[int, int]] = {}  # id(node) -> (row, height)
-        for p, node in enumerate(tree.post_order(), start=b * n_nodes):
-            if node.is_leaf:
+        subtrees: list[tuple[int, int]] = []  # (row, height) of each one not yet joined
+        for p, token in enumerate(tree.tokens, start=b * n_nodes):
+            if token is None:
+                right, h_r = subtrees.pop()
+                left, h_l = subtrees.pop()
+                height = 1 + max(h_l, h_r)
+                by_height.setdefault(height, []).append((p, left, right))
+                subtrees.append((p, height))
+            else:
                 leaf_rows.append(p)
-                placed[id(node)] = (p, 0)
-                continue
-            left, h_l = placed.pop(id(node.left))
-            right, h_r = placed.pop(id(node.right))
-            height = 1 + max(h_l, h_r)
-            by_height.setdefault(height, []).append((p, left, right))
-            placed[id(node)] = (p, height)
+                subtrees.append((p, 0))
     levels = [np.array(by_height[h]).T for h in sorted(by_height)]
     return np.array(leaf_rows), levels
 

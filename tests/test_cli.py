@@ -40,11 +40,13 @@ def stage_inputs(tmp_path, n):
 
 
 def encode_args(tmp_path, kind, pooling="max", output="out.txt", *extra):
+    """--trees is passed to the kinds that read parses."""
+    trees = ["--trees", str(tmp_path / "trees.txt")] if enc.KINDS[kind].reads_parses else []
     return [
         "encode", "--encoder", f"esn(sparsity={ESN_SPARSITY})" if kind == "esn" else kind,
         "--dim", "8", "--seed", "2",
         "--pooling", pooling, "--embeddings", str(tmp_path / "vectors.txt"),
-        "--input", str(tmp_path / "input.txt"), "--trees", str(tmp_path / "trees.txt"),
+        "--input", str(tmp_path / "input.txt"), *trees,
         "--output", str(tmp_path / output), *extra,
     ]
 
@@ -170,6 +172,42 @@ def test_encode_flag_that_disagrees_with_checkpoint_leaves_output_untouched(
     args[args.index(flag) + 1] = value
     assert cli.main(args) == 2
     assert f"error: checkpoint holds cnn with {named}" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_encode_checkpoint_without_asked_hyperparameter_leaves_output_untouched(tmp_path, capsys):
+    # from_borep shapes the draw but is not stored: a window-1 random cnn
+    # checkpoint cannot stand for cnn(window=1,from_borep=true)
+    stage_inputs(tmp_path, 10)
+    ckpt = str(tmp_path / "params.npz")
+    args = encode_args(tmp_path, "cnn", "max", "drawn.txt", "--save-params", ckpt)
+    args[args.index("--encoder") + 1] = "cnn(window=1)"
+    assert cli.main(args) == 0
+    args = encode_args(tmp_path, "cnn", "max", "out.txt", "--load-params", ckpt)
+    args[args.index("--encoder") + 1] = "cnn(window=1,from_borep=true)"
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: checkpoint holds cnn without from_borep; asked for from_borep=True\n"
+    )
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("spec", ["cnn(windw=2)", "cnn(window=2,window=3)"])
+def test_encode_rejects_bad_spec_before_reading(tmp_path, capsys, spec):
+    args = encode_args(tmp_path, "cnn")
+    args[args.index("--encoder") + 1] = spec
+    assert cli.main(args) == 2  # no input file exists: the spec is checked first
+    assert capsys.readouterr().err.startswith(f"error: encoder spec {spec!r}: bad hyperparameters")
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_encode_trees_for_kind_that_reads_no_parses(tmp_path, capsys):
+    stage_inputs(tmp_path, 10)
+    args = encode_args(tmp_path, "borep") + ["--trees", str(tmp_path / "trees.txt")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: borep encoding reads no parses; --trees does not apply\n"
+    )
     assert not (tmp_path / "out.txt").exists()
 
 

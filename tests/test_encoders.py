@@ -517,8 +517,9 @@ def mixed_parses(seqs):
         tokens = seq.tokens
         if i % 2 and len(tokens) >= 4:
             half = len(tokens) // 2
-            out.append(ParseTree(left=right_branching_parse(tokens[:half]),
-                                 right=right_branching_parse(tokens[half:])))
+            left = right_branching_parse(tokens[:half])
+            right = right_branching_parse(tokens[half:])
+            out.append(ParseTree(left.tokens + right.tokens + (None,)))
         else:
             out.append(right_branching_parse(tokens))
     return out

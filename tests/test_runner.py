@@ -79,6 +79,20 @@ def test_parse_rejects_malformed():
         parse_encoder_spec("cnn(window)")
 
 
+def test_parse_takes_the_names_the_builder_takes(monkeypatch):
+    for token, message in [
+        ("tree_lstm(nodes=all)", "tree_lstm takes no 'nodes'; it takes node_domain)"),
+        ("borep(window=1)", "borep takes no 'window')"),
+        ("esn(seed=3)", "esn takes no 'seed'; it takes rho, sparsity, leak, input_scaling)"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_encoder_spec(token)
+        assert str(err.value) == f"encoder spec {token!r}: bad hyperparameters ({message}"
+    # a builder that takes **kwargs takes any name, and build_encoder judges it
+    twin = add_twin_tree_kind(monkeypatch)
+    assert parse_encoder_spec(f"{twin}(nodes=all)").hyper_dict() == {"nodes": "all"}
+
+
 # ---------------------------------------------------------------------------
 # experiment fixture: tiny synthetic sweep on disk
 # ---------------------------------------------------------------------------
@@ -149,6 +163,8 @@ BAD_CONFIG_LINES = {
     "l2_grid": ("l2_grid=0.1,big", "l2_grid= takes float values, got '0.1,big'"),
     "encoders": ("encoders=bogus", "unknown encoder kind 'bogus'"),
     "encoder_hyper": ("encoders=cnn(window)", "expected key=value, got 'window'"),
+    "encoder_hyper_name": ("encoders=cnn(windw=2)", "cnn takes no 'windw'; it takes window"),
+    "encoder_hyper_repeat": ("encoders=cnn(window=2,window=3)", "'window' is given more than once"),
 }
 
 

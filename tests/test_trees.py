@@ -14,6 +14,7 @@ from randenc.trees import (
     TreeParseError,
     build_tree_lstm,
     encode_tree_lstm,
+    format_bracketed,
     parse_bracketed,
     read_tree_file,
     right_branching_parse,
@@ -41,17 +42,15 @@ def test_parse_discards_labels():
 
 def test_parse_unary_chain_collapsed():
     tree = parse_bracketed("(ROOT (S (NP (NN dogs))))")
-    assert tree.is_leaf
-    assert tree.token == "dogs"
+    assert tree.tokens == ("dogs",)
 
 
 def test_parse_nary_right_branching():
     tree = parse_bracketed("(S (A a) (B b) (C c) (D d))")
     assert tree.leaf_tokens() == ["a", "b", "c", "d"]
     assert tree.node_count == 7
-    # right-branching: the left child of the root is the first leaf
-    assert tree.left.is_leaf and tree.left.token == "a"
-    assert not tree.right.is_leaf
+    # right-branching (a (b (c d))): every join follows the last leaf
+    assert tree.tokens == ("a", "b", "c", "d", None, None, None)
 
 
 def test_parse_bare_token_children():
@@ -151,51 +150,67 @@ def test_right_branching_parse_shape():
     tree = right_branching_parse(["a", "b", "c"])
     assert tree.leaf_tokens() == ["a", "b", "c"]
     assert tree.node_count == 5
-    assert tree.left.token == "a"
+    assert tree.tokens == ("a", "b", "c", None, None)
     with pytest.raises(ValueError):
         right_branching_parse([])
 
 
-def post_order_tokens(tree):
-    # with None for an internal node, this sequence fixes a binary tree
-    return [node.token for node in tree.post_order()]
-
-
-def test_repr_is_the_dataclass_repr():
-    tree = ParseTree(left=ParseTree(token="a"), right=ParseTree(token="b"))
-    assert repr(tree) == (
-        "ParseTree(token=None, left=ParseTree(token='a', left=None, right=None), "
-        "right=ParseTree(token='b', left=None, right=None))"
-    )
+def test_repr_is_the_post_order_tokens():
+    tree = parse_bracketed("(S (A a) (B b))")
+    assert repr(tree) == "ParseTree(tokens=('a', 'b', None))"
 
 
 def test_repr_and_pickle_deep():
     tree = right_branching_parse(DEEP_TOKENS)
     text = repr(tree)
-    assert text.startswith("ParseTree(token=None, left=ParseTree(token='w0', ")
-    last_leaf = f"ParseTree(token='w{DEEP - 1}', left=None, right=None)"
-    assert text.endswith(last_leaf + ")" * (DEEP - 1))
+    assert text.startswith("ParseTree(tokens=('w0', 'w1', ")
+    assert text.endswith(f"'w{DEEP - 1}', " + "None, " * (DEEP - 2) + "None))")
     loaded = pickle.loads(pickle.dumps(tree))
-    assert post_order_tokens(loaded) == post_order_tokens(tree)
+    assert loaded == tree
     assert repr(loaded) == text
 
 
 def test_pickle_round_trip_keeps_bracket_tokens():
     # format_bracketed cannot carry these tokens: "f(x)" would read back as a node
-    tree = ParseTree(
-        left=right_branching_parse(["f(x)", "(", ")"]),
-        right=right_branching_parse(["a)b", "(c"]),
-    )
+    left = right_branching_parse(["f(x)", "(", ")"])
+    tree = ParseTree(left.tokens + right_branching_parse(["a)b", "(c"]).tokens + (None,))
     loaded = pickle.loads(pickle.dumps(tree))
-    assert post_order_tokens(loaded) == post_order_tokens(tree)
+    assert loaded == tree
     assert loaded.leaf_tokens() == ["f(x)", "(", ")", "a)b", "(c"]
 
 
 def test_parsetree_validates_shape():
-    with pytest.raises(ValueError):
-        ParseTree(token="x", left=ParseTree(token="y"), right=ParseTree(token="z"))
-    with pytest.raises(ValueError):
-        ParseTree(left=ParseTree(token="y"), right=None)
+    # no node; a join with no subtree; two trees; a join of one subtree;
+    # one join too many
+    for tokens in [(), (None,), ("a", "b"), ("a", None), ("a", "b", None, None)]:
+        with pytest.raises(ValueError):
+            ParseTree(tokens)
+    assert ParseTree(("a", "b", None)).leaf_count == 2
+
+
+# whitespace and brackets delimit atoms, so a token that round-trips through
+# the bracketed text holds neither
+ATOMS = st.from_regex(r"[^\s()]+", fullmatch=True)
+
+
+@st.composite
+def parse_trees(draw):
+    """Any binary tree: each step adds a leaf or joins the last two subtrees."""
+    leaves = draw(st.lists(ATOMS, min_size=1, max_size=20))
+    tokens, open_subtrees = [], 0
+    for leaf in leaves:
+        tokens.append(leaf)
+        open_subtrees += 1
+        joins = draw(st.integers(0, open_subtrees - 1))
+        tokens += [None] * joins
+        open_subtrees -= joins
+    return ParseTree(tuple(tokens) + (None,) * (open_subtrees - 1))
+
+
+@given(parse_trees())
+@settings(max_examples=200, deadline=None)
+def test_format_bracketed_round_trip(tree):
+    assert parse_bracketed(format_bracketed(tree)) == tree
 
 
 # ---------------------------------------------------------------------------
