@@ -529,6 +529,9 @@ def build_self_attention(
     layer, per head: w_q (d_k x D'), w_k (d_k x D'), w_v (d_v x D'); then
     the layer's w_o (D' x D'). d_k = d_v = D' / heads.
     """
+    for key, count in (("heads", heads), ("n_layers", n_layers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ConfigError(f"self_attention {key} must be an integer, got {count!r}")
     if heads < 1 or out_dim % heads != 0:
         raise ConfigError(
             f"self_attention needs out_dim divisible by heads, got {out_dim} % {heads}"

@@ -5,11 +5,15 @@ Probe = multinomial logistic regression (default) or a one-hidden-layer
 tanh MLP, trained by full-batch gradient descent with Armijo backtracking
 line search. l2 strength is picked from a fixed grid on validation
 accuracy (ties go to the smaller value) with early stopping on the same
-validation signal. Everything is deterministic given the config seed.
+validation signal. The grid's l2 values train together in lockstep: each
+round is one loss_and_grad call over the stacked params of every value
+still training, and each value keeps its own step, checks and stop.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +67,10 @@ class ProbeConfig:
             raise ValueError("max_epochs, patience and eval_interval must be >= 1")
         if not self.l2_grid:
             raise ValueError("l2 grid cannot be empty")
+        if not all(math.isfinite(v) and v >= 0.0 for v in self.l2_grid):
+            raise ValueError(f"l2 grid values must be finite and >= 0, got {self.l2_grid}")
+        if len(set(self.l2_grid)) != len(self.l2_grid):
+            raise ValueError(f"l2 grid values must be distinct, got {self.l2_grid}")
 
 
 @dataclass(frozen=True)
@@ -126,44 +134,71 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Loss, gradient, initialization.
+#
+# Logits, deltas and MLP activations are laid out lanes x classes (or hidden
+# units) x examples: the softmax max and sum then run over a middle axis with
+# the examples contiguous, and each product is one plain matrix product.
 # ---------------------------------------------------------------------------
 
 
-def _forward(params, x: np.ndarray, kind: str):
+def _forward(params, x_t: np.ndarray, kind: str, n_lanes: int = 1):
+    """Logits (lanes x C x n) from the features examples-last (x_t: F x n),
+    and for mlp the hidden activations (lanes x H x n)."""
+    n = x_t.shape[1]
     if kind == "logreg":
-        return x @ params[0].T + params[1], None
-    a = np.tanh(x @ params[0].T + params[1])
-    return a @ params[2].T + params[3], a
+        logits = params[0] @ x_t
+        logits += params[1][:, None]
+        return logits.reshape(n_lanes, -1, n), None
+    w1, b1, w2, b2 = params
+    hidden = w1 @ x_t
+    hidden += b1[:, None]
+    hidden = np.tanh(hidden, out=hidden).reshape(n_lanes, -1, n)
+    logits = w2.reshape(n_lanes, -1, hidden.shape[1]) @ hidden
+    logits += b2.reshape(n_lanes, -1, 1)
+    return logits, hidden
 
 
-def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2: float, kind: str):
+def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None):
     """Mean cross-entropy + (l2/2) * sum of squared weight-matrix entries
     (biases unpenalized). Returns (loss, [grad per param]).
 
+    A scalar l2 takes one probe's params and returns a float loss. A 1-d l2
+    takes len(l2) probes ("lanes") stacked along each param's first axis,
+    lane i owning the i-th equal block of rows, and returns one loss per
+    lane and the gradients stacked alike. x_t is x.T as a contiguous array,
+    for a caller that makes it once for many calls.
+
     One max-shifted exp serves both: log p(y) = shifted[y] - log(sum), and
     the logit gradient is (softmax - one_hot(y)) / n."""
+    lane_l2 = np.atleast_1d(np.asarray(l2, dtype=np.float64))
+    n_lanes = lane_l2.shape[0]
     n = x.shape[0]
-    rows = np.arange(n)
-    logits, hidden = _forward(params, x, kind)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    loss = -(shifted[rows, y] - np.log(total[:, 0])).mean()
-    delta = e / total
-    delta[rows, y] -= 1.0
+    shifted, hidden = _forward(params, x.T if x_t is None else x_t, kind, n_lanes)
+    shifted -= shifted.max(axis=1, keepdims=True)
+    delta = np.exp(shifted)
+    total = delta.sum(axis=1)
+    # a one-hot mask picks and subtracts: its zero terms are exact
+    one_hot = y == np.arange(shifted.shape[1])[:, None]
+    loss = (np.log(total) - (shifted * one_hot).sum(axis=1)).sum(axis=1) / n
+    delta /= total[:, None, :]
+    delta -= one_hot
     delta /= n
+    weights = [params[0]] if kind == "logreg" else [params[0], params[2]]
+    lane_weights = [w.reshape(n_lanes, -1) for w in weights]
+    loss += 0.5 * lane_l2 * sum((w * w).sum(axis=1) for w in lane_weights)
+    decay = [(lane_l2[:, None] * w).reshape(full.shape) for w, full in zip(lane_weights, weights)]
     if kind == "logreg":
-        w = params[0]
-        loss += 0.5 * l2 * float((w * w).sum())
-        return loss, [delta.T @ x + l2 * w, delta.sum(axis=0)]
-    w1, _b1, w2, _b2 = params
-    loss += 0.5 * l2 * float((w1 * w1).sum() + (w2 * w2).sum())
-    grad_w2 = delta.T @ hidden + l2 * w2
-    grad_b2 = delta.sum(axis=0)
-    back = (delta @ w2) * (1.0 - hidden * hidden)
-    grad_w1 = back.T @ x + l2 * w1
-    grad_b1 = back.sum(axis=0)
-    return loss, [grad_w1, grad_b1, grad_w2, grad_b2]
+        grads = [delta.reshape(-1, n) @ x + decay[0], delta.sum(axis=2).ravel()]
+    else:
+        w2_lanes = params[2].reshape(n_lanes, -1, hidden.shape[1])
+        grad_w2 = (delta @ hidden.transpose(0, 2, 1)).reshape(params[2].shape) + decay[1]
+        back = w2_lanes.transpose(0, 2, 1) @ delta
+        back *= 1.0 - hidden * hidden
+        grad_w1 = back.reshape(-1, n) @ x + decay[0]
+        grads = [grad_w1, back.sum(axis=2).ravel(), grad_w2, delta.sum(axis=2).ravel()]
+    if np.ndim(l2) == 0:
+        return float(loss[0]), grads
+    return loss, grads
 
 
 def init_params(kind: str, n_features: int, n_classes: int, hidden: int, seed: int):
@@ -182,9 +217,133 @@ def init_params(kind: str, n_features: int, n_classes: int, hidden: int, seed: i
 # ---------------------------------------------------------------------------
 
 
-def _accuracy_from_params(params, x, y, kind) -> float:
-    logits, _ = _forward(params, x, kind)
-    return float((logits.argmax(axis=1) == y).mean())
+def _per_lane(values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One value per lane, shaped to broadcast over a lanes-first array."""
+    return values.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
+def _flat(lanes) -> list[np.ndarray]:
+    """Lanes-first params (lanes x one lane's shape) as loss_and_grad takes
+    them: each lane's rows stacked along the first axis (views, no copies)."""
+    return [p.reshape((-1,) + p.shape[2:]) for p in lanes]
+
+
+@dataclass(slots=True)
+class _Lane:
+    """The scalar state of one l2 value in the lockstep loop; its params and
+    gradient are rows of the loop's stacked arrays."""
+
+    l2: float
+    loss: float
+    g_sq: float
+    best_acc: float
+    best_params: list
+    history: list
+    step: float = 1.0
+    strikes: int = 0
+    stopped: bool = False
+
+    @property
+    def epochs(self) -> int:
+        return len(self.history) - 1
+
+    def take(self, trial_loss: float, trial_g_sq: float) -> bool:
+        """Armijo test of the trial made at this lane's step. An accepted
+        trial becomes the lane's point and doubles the step; a rejected one
+        halves it, and a step below _MIN_STEP stops the lane."""
+        if trial_loss <= self.loss - _ARMIJO_C * self.step * self.g_sq:
+            self.loss, self.g_sq = trial_loss, trial_g_sq
+            self.history.append(trial_loss)
+            self.step *= 2.0
+            return True
+        self.step *= 0.5
+        self.stopped = self.step < _MIN_STEP
+        return False
+
+    def check(self, acc: float, params, patience: int) -> None:
+        """A validation check: a better accuracy snapshots params, and
+        `patience` non-improving checks in a row stop the lane."""
+        if acc > self.best_acc:
+            self.best_acc = acc
+            self.best_params = [p.copy() for p in params]
+            self.strikes = 0
+        else:
+            self.strikes += 1
+            self.stopped = self.strikes >= patience
+
+
+def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: int, l2s):
+    """Train one probe per l2 value in lockstep; returns fit's 4-tuple per
+    value, in order.
+
+    Each round makes one loss_and_grad call over the stacked trial params of
+    every lane still running. A lane follows fit's rules on its own: its
+    step and Armijo test, its validation checks, best-dev snapshot and
+    patience, and its stop (patience, max_epochs, a step below _MIN_STEP or
+    a zero gradient), after which it leaves the stack."""
+    # the one-hot mask in loss_and_grad would pass an out-of-range label silently
+    y_train = _check_labels(y_train, n_classes, "training")
+    kind = config.kind
+    one = init_params(kind, x_train.shape[1], n_classes, config.hidden, config.seed)
+    x_t = np.ascontiguousarray(x_train.T)
+    x_dev_t = np.ascontiguousarray(x_dev.T)
+
+    def split(flat_grads, count):
+        return [g.reshape((count,) + p.shape) for g, p in zip(flat_grads, one)]
+
+    def sq_norms(grads):
+        return sum((g.reshape(g.shape[0], -1) ** 2).sum(axis=1) for g in grads).tolist()
+
+    def dev_accuracy(lanes):
+        logits, _ = _forward(_flat(lanes), x_dev_t, kind, lanes[0].shape[0])
+        return (logits.argmax(axis=1) == y_dev).mean(axis=1).tolist()
+
+    params = [np.repeat(p[None], len(l2s), axis=0) for p in one]
+    loss, flat_grads = loss_and_grad(
+        _flat(params), x_train, y_train, np.asarray(l2s, dtype=np.float64), kind, x_t)
+    grads = split(flat_grads, len(l2s))
+    (start_acc,) = dev_accuracy([p[:1] for p in params])  # every lane starts at `one`
+    lanes = [
+        _Lane(l2, value, g_sq, start_acc, [p.copy() for p in one], [value],
+              stopped=g_sq == 0.0)
+        for l2, value, g_sq in zip(l2s, loss.tolist(), sq_norms(grads))
+    ]
+    running = lanes
+    while True:
+        keep = [slot for slot, lane in enumerate(running) if not lane.stopped]
+        if len(keep) < len(running):
+            running = [running[slot] for slot in keep]
+            params = [p[keep] for p in params]
+            grads = [g[keep] for g in grads]
+        if not running:
+            break
+        step = np.array([lane.step for lane in running])
+        trial = [p - _per_lane(step, g) * g for p, g in zip(params, grads)]
+        trial_loss, flat_grads = loss_and_grad(
+            _flat(trial), x_train, y_train, np.array([lane.l2 for lane in running]), kind, x_t)
+        trial_grads = split(flat_grads, len(running))
+        accept = np.array([
+            lane.take(value, g_sq)
+            for lane, value, g_sq in zip(running, trial_loss.tolist(), sq_norms(trial_grads))
+        ])
+        if not accept.any():
+            continue
+        params = [np.where(_per_lane(accept, p), t, p) for p, t in zip(params, trial)]
+        grads = [np.where(_per_lane(accept, g), t, g) for g, t in zip(grads, trial_grads)]
+        accepted = np.flatnonzero(accept).tolist()
+        checked = [
+            slot for slot in accepted
+            if running[slot].epochs % config.eval_interval == 0
+            or running[slot].epochs == config.max_epochs
+        ]
+        if checked:
+            for slot, acc in zip(checked, dev_accuracy([p[checked] for p in params])):
+                running[slot].check(acc, [p[slot] for p in params], config.patience)
+        for slot in accepted:
+            lane = running[slot]
+            if lane.epochs == config.max_epochs or lane.g_sq == 0.0:
+                lane.stopped = True
+    return [(lane.best_params, lane.best_acc, lane.epochs, tuple(lane.history)) for lane in lanes]
 
 
 def fit(
@@ -200,45 +359,9 @@ def fit(
     an Armijo backtracking test, so the recorded loss history is
     non-increasing. Validation accuracy is checked every eval_interval
     epochs; `patience` consecutive non-improving checks stop training, and
-    the returned parameters are the best-validation snapshot."""
-    params = init_params(config.kind, x_train.shape[1], n_classes, config.hidden, config.seed)
-    loss, grads = loss_and_grad(params, x_train, y_train, l2, config.kind)
-    history = [loss]
-    best_params = [p.copy() for p in params]
-    best_acc = _accuracy_from_params(params, x_dev, y_dev, config.kind)
-    strikes = 0
-    step = 1.0
-    epochs_run = 0
-    for epoch in range(1, config.max_epochs + 1):
-        g_sq = sum(float((g * g).sum()) for g in grads)
-        if g_sq == 0.0:
-            break
-        while True:
-            trial = [p - step * g for p, g in zip(params, grads)]
-            trial_loss, trial_grads = loss_and_grad(trial, x_train, y_train, l2, config.kind)
-            if trial_loss <= loss - _ARMIJO_C * step * g_sq:
-                break
-            step *= 0.5
-            if step < _MIN_STEP:
-                trial = None
-                break
-        if trial is None:
-            break
-        params, loss, grads = trial, trial_loss, trial_grads
-        history.append(loss)
-        step *= 2.0
-        epochs_run = epoch
-        if epoch % config.eval_interval == 0 or epoch == config.max_epochs:
-            acc = _accuracy_from_params(params, x_dev, y_dev, config.kind)
-            if acc > best_acc:
-                best_acc = acc
-                best_params = [p.copy() for p in params]
-                strikes = 0
-            else:
-                strikes += 1
-                if strikes >= config.patience:
-                    break
-    return best_params, best_acc, epochs_run, tuple(history)
+    the returned parameters are the best-validation snapshot. This is the
+    one-lane case of the lockstep loop that trains a whole l2 grid."""
+    return _fit_lanes(x_train, y_train, x_dev, y_dev, config, n_classes, (l2,))[0]
 
 
 def _check_examples(embeddings, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +390,10 @@ def _check_labels(y: np.ndarray, n_classes: int, which: str) -> np.ndarray:
 def _fit_l2_grid(x_tr, y_tr, x_dev, y_dev, config: ProbeConfig, n_classes: int):
     """Grid over l2 on validation accuracy; ties keep the smaller l2
     (grid is scanned in ascending order with a strict > comparison)."""
+    grid = sorted(config.l2_grid)
     best = None
-    for l2 in sorted(config.l2_grid):
-        params, acc, epochs, history = fit(x_tr, y_tr, x_dev, y_dev, config, n_classes, l2)
+    lanes = _fit_lanes(x_tr, y_tr, x_dev, y_dev, config, n_classes, grid)
+    for l2, (params, acc, epochs, history) in zip(grid, lanes):
         if best is None or acc > best[1]:
             best = (params, acc, epochs, history, l2)
     params, acc, epochs, history, l2 = best
@@ -318,9 +442,9 @@ def predict(model: ProbeModel, embeddings: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {x.shape[1]} does not match the probe's {model.n_features}"
         )
-    logits, _ = _forward(list(model.params), x, model.kind)
+    logits, _ = _forward(list(model.params), x.T, model.kind)
     # np.argmax resolves ties toward the lowest class index
-    return logits.argmax(axis=1)
+    return logits[0].argmax(axis=0)
 
 
 def evaluate(model: ProbeModel, embeddings: np.ndarray, labels: np.ndarray) -> float:
@@ -388,7 +512,7 @@ def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: P
         _check_labels(y[test_idx], n_classes, "fold test")
         sub_tr, sub_dev = _inner_dev_split(y_tr, config.seed + fold + 1)
         model, _report = _fit_l2_grid(
-            x[train_idx][sub_tr], y_tr[sub_tr], x[train_idx][sub_dev], y_tr[sub_dev],
+            x[train_idx[sub_tr]], y_tr[sub_tr], x[train_idx[sub_dev]], y_tr[sub_dev],
             config, n_classes,
         )
         accuracies.append(evaluate(model, x[test_idx], y[test_idx]))

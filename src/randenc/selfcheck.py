@@ -166,6 +166,21 @@ def check_probe_gradients() -> None:
             rel = abs(fd - analytic) / max(1e-12, abs(fd), abs(analytic))
             if rel > 1e-4:
                 raise AssertionError(f"{kind} gradient check failed (rel err {rel:.2e})")
+        # two lanes stacked along each param's first axis, as a sweep's l2 grid trains
+        other = [p + rng.normal(size=p.shape) * 0.1 for p in params]
+        stacked_loss, stacked_grads = probe.loss_and_grad(
+            [np.concatenate(pair) for pair in zip(params, other)], x, y,
+            np.array([1e-3, 1e-1]), kind,
+        )
+        for lane, (lane_params, l2) in enumerate(((params, 1e-3), (other, 1e-1))):
+            loss, grads = probe.loss_and_grad(lane_params, x, y, l2, kind)
+            gaps = [abs(stacked_loss[lane] - loss)] + [
+                np.abs(np.split(s, 2)[lane] - g).max() for s, g in zip(stacked_grads, grads)
+            ]
+            if max(gaps) > 1e-12:
+                raise AssertionError(
+                    f"{kind} stacked lane {lane} differs from its own call by {max(gaps):.2e}"
+                )
     loss, _ = probe.loss_and_grad(
         probe.init_params("logreg", 4, 2, 0, seed=0),
         rng.normal(size=(10, 4)), np.array([0, 1] * 5), 0.0, "logreg",

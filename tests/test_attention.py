@@ -99,6 +99,20 @@ def test_rejects_zero_layers():
         build_self_attention(0, 4, 32, n_layers=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("heads", True), ("n_layers", True), ("heads", 2.0), ("n_layers", np.float64(1.0)),
+])
+def test_rejects_non_integer_counts(key, value):
+    # a boolean is an int to Python: heads=true would build a one-head encoder
+    with pytest.raises(ConfigError, match=f"^self_attention {key} must be an integer, got "):
+        build_self_attention(0, 4, 32, **{key: value})
+
+
+def test_numpy_integer_counts_accepted():
+    params = build_self_attention(0, 4, 32, heads=np.int64(4), n_layers=np.int32(1))
+    assert (params.heads, params.n_layers) == (4, 1)
+
+
 def test_default_geometry():
     params = build_self_attention(1, 10, 64)
     assert params.heads == 8

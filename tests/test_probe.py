@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randenc import probe
 from randenc.probe import (
     DegenerateTaskError,
     ProbeConfig,
@@ -206,6 +207,154 @@ def test_loss_history_monotone_nonincreasing(nprng):
         assert (diffs <= 1e-15).all()
 
 
+# ---------------------------------------------------------------------------
+# the lockstep l2 grid against one fit per l2 value
+# ---------------------------------------------------------------------------
+
+
+def reference_fit(x, y, x_dev, y_dev, config, n_classes, l2):
+    """fit as a plain loop over one l2 value: examples-first logits, one
+    loss and gradient per call, the Armijo test and early stopping inline."""
+    kind = config.kind
+
+    def forward(params, feats):
+        if kind == "logreg":
+            return feats @ params[0].T + params[1], None
+        hidden = np.tanh(feats @ params[0].T + params[1])
+        return hidden @ params[2].T + params[3], hidden
+
+    def loss_grad(params):
+        logits, hidden = forward(params, x)
+        logits = logits - logits.max(axis=1, keepdims=True)
+        total = np.exp(logits).sum(axis=1)
+        loss = (np.log(total) - logits[np.arange(len(y)), y]).mean()
+        delta = np.exp(logits) / total[:, None]
+        delta[np.arange(len(y)), y] -= 1.0
+        delta /= len(y)
+        weights = params[:1] if kind == "logreg" else params[0::2]
+        loss += 0.5 * l2 * sum(float((w * w).sum()) for w in weights)
+        if kind == "logreg":
+            return loss, [delta.T @ x + l2 * params[0], delta.sum(axis=0)]
+        back = (delta @ params[2]) * (1.0 - hidden * hidden)
+        return loss, [back.T @ x + l2 * params[0], back.sum(axis=0),
+                      delta.T @ hidden + l2 * params[2], delta.sum(axis=0)]
+
+    def accuracy(params):
+        return float((forward(params, x_dev)[0].argmax(axis=1) == y_dev).mean())
+
+    params = init_params(kind, x.shape[1], n_classes, config.hidden, config.seed)
+    loss, grads = loss_grad(params)
+    history, best, best_acc, strikes, step = [loss], params, accuracy(params), 0, 1.0
+    for epoch in range(1, config.max_epochs + 1):
+        g_sq = sum(float((g * g).sum()) for g in grads)
+        if g_sq == 0.0:
+            break
+        while True:
+            trial = [p - step * g for p, g in zip(params, grads)]
+            trial_loss, trial_grads = loss_grad(trial)
+            if trial_loss <= loss - 1e-4 * step * g_sq:
+                break
+            step *= 0.5
+            if step < 1e-16:
+                return best, best_acc, epoch - 1, tuple(history)
+        params, loss, grads = trial, trial_loss, trial_grads
+        history.append(loss)
+        step *= 2.0
+        if epoch % config.eval_interval == 0 or epoch == config.max_epochs:
+            acc = accuracy(params)
+            if acc > best_acc:
+                best, best_acc, strikes = params, acc, 0
+            else:
+                strikes += 1
+                if strikes >= config.patience:
+                    break
+    return best, best_acc, len(history) - 1, tuple(history)
+
+
+def assert_same_fit(got, want):
+    params, acc, epochs, history = got
+    want_params, want_acc, want_epochs, want_history = want
+    assert (epochs, acc, len(history)) == (want_epochs, want_acc, len(want_history))
+    assert np.abs(np.array(history) - np.array(want_history)).max() <= 1e-10
+    for p, q in zip(params, want_params):
+        assert p.shape == q.shape
+        assert np.abs(p - q).max() <= 1e-10
+
+
+def lane_problem(seed, n_classes=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(45, 6)) + np.eye(n_classes, 6)[np.arange(45) % n_classes]
+    x_dev = rng.normal(size=(18, 6)) + np.eye(n_classes, 6)[np.arange(18) % n_classes]
+    return x, np.arange(45) % n_classes, x_dev, np.arange(18) % n_classes
+
+
+def check_lanes_match_fit(x, y, x_dev, y_dev, config, n_classes):
+    """Every lane of the lockstep grid is fit alone at its l2 value and the
+    plain reference loop; returns the lanes."""
+    grid = sorted(config.l2_grid)
+    lanes = probe._fit_lanes(x, y, x_dev, y_dev, config, n_classes, grid)
+    for l2, lane in zip(grid, lanes):
+        assert_same_fit(lane, fit(x, y, x_dev, y_dev, config, n_classes, l2))
+        assert_same_fit(lane, reference_fit(x, y, x_dev, y_dev, config, n_classes, l2))
+    return lanes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_lockstep_lanes_match_fit_alone(kind, seed):
+    x, y, x_dev, y_dev = lane_problem(seed)
+    config = ProbeConfig(kind=kind, hidden=7, max_epochs=150, patience=3, eval_interval=5,
+                         seed=seed)
+    lanes = check_lanes_match_fit(x, y, x_dev, y_dev, config, 3)
+    grid = sorted(config.l2_grid)
+    # the chosen l2 is the first of the best dev accuracies over one fit per value
+    accs = [fit(x, y, x_dev, y_dev, config, 3, l2)[1] for l2 in grid]
+    model, report = probe._fit_l2_grid(x, y, x_dev, y_dev, config, 3)
+    assert report.chosen_l2 == model.l2 == grid[accs.index(max(accs))]
+    chosen = lanes[grid.index(report.chosen_l2)]
+    assert (report.epochs, report.loss_history) == (chosen[2], chosen[3])
+    assert all(np.array_equal(p, q) for p, q in zip(model.params, chosen[0]))
+
+
+def test_lane_stopped_by_patience_leaves_others_unaffected():
+    x, y, x_dev, y_dev = lane_problem(0)
+    config = ProbeConfig(l2_grid=(0.0, 1e-3, 3.0), max_epochs=200, patience=2,
+                         eval_interval=5)
+    epochs = [lane[2] for lane in check_lanes_match_fit(x, y, x_dev, y_dev, config, 3)]
+    # every lane stops on a validation check, the damped one after the others
+    assert all(e < 200 and e % 5 == 0 for e in epochs)
+    assert max(epochs[:2]) < epochs[2]
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_lane_stopped_by_step_underflow_leaves_others_unaffected(kind):
+    x, y, x_dev, y_dev = lane_problem(1)
+    # at l2=1e20 the penalty outgrows the Armijo decrease at any step above
+    # about 2e-20, so that lane halves its first step below 1e-16 and stops
+    config = ProbeConfig(kind=kind, hidden=6, l2_grid=(0.0, 1e-2, 1e20), max_epochs=60,
+                         patience=100, eval_interval=10)
+    lanes = check_lanes_match_fit(x, y, x_dev, y_dev, config, 3)
+    assert [lane[2] for lane in lanes] == [60, 60, 0]
+
+
+def test_lane_stopped_by_zero_gradient_leaves_others_unaffected(nprng):
+    # one row under both labels: with its output layer at zero the mlp's
+    # gradient is exactly zero at l2=0, while l2 > 0 still decays W1
+    x = np.repeat(nprng.normal(size=(1, 4)), 2, axis=0)
+    y = np.array([0, 1])
+    config = ProbeConfig(kind="mlp", hidden=5, l2_grid=(0.0, 1e-2), max_epochs=40)
+    lanes = check_lanes_match_fit(x, y, x, y, config, 2)
+    assert [lane[2] for lane in lanes] == [0, 40]
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 0, 1, 0], [0, 1, -1, 0, 1, 0]],
+                         ids=["too_large", "negative"])
+def test_fit_rejects_labels_outside_its_classes(labels, nprng):
+    x, y = nprng.normal(size=(6, 3)), np.array(labels)
+    with pytest.raises(ValueError, match="training labels fall outside the training class"):
+        fit(x, y, x, y, ProbeConfig(max_epochs=5), n_classes=2, l2=0.0)
+
+
 def test_shift_invariant_predictions(nprng):
     x = nprng.normal(size=(40, 5))
     w = nprng.normal(size=(3, 5))
@@ -400,6 +549,17 @@ def test_probe_config_validation():
         ProbeConfig(max_epochs=0)
     with pytest.raises(ValueError):
         ProbeConfig(l2_grid=())
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((0.0, -1e-3), "l2 grid values must be finite and >= 0"),
+    ((0.0, math.nan), "l2 grid values must be finite and >= 0"),
+    ((0.0, math.inf), "l2 grid values must be finite and >= 0"),
+    ((1e-3, 0.0, 1e-3), "l2 grid values must be distinct"),
+], ids=["negative", "nan", "inf", "repeated"])
+def test_probe_config_rejects_bad_l2_grid(grid, message):
+    with pytest.raises(ValueError, match=message):
+        ProbeConfig(l2_grid=grid)
 
 
 @given(st.integers(2, 5), st.integers(20, 60), st.integers(0, 1000))

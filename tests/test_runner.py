@@ -205,6 +205,10 @@ BAD_CONFIG_VALUES = {
     "seeds_negative": ("seeds=-1", "seeds must be non-negative, got (-1,)"),
     "probe": ("probe=svm", "probe kind must be logreg or mlp, got 'svm'"),
     "max_epochs": ("max_epochs=0", "max_epochs, patience and eval_interval must be >= 1"),
+    "l2_negative": ("l2_grid=0,-0.1", "l2 grid values must be finite and >= 0"),
+    "l2_nan": ("l2_grid=0,nan", "l2 grid values must be finite and >= 0"),
+    "l2_inf": ("l2_grid=inf", "l2 grid values must be finite and >= 0"),
+    "l2_repeat": ("l2_grid=0.1,0,0.1", "l2 grid values must be distinct"),
 }
 
 
