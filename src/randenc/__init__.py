@@ -20,10 +20,8 @@ from .embeddings import (
 )
 from .encoders import (
     ConfigError,
-    ContextMatrix,
     ENCODER_KINDS,
     POOLINGS,
-    SentenceEmbedding,
     build_encoder,
     encode,
     encode_and_pool,
@@ -54,10 +52,8 @@ __all__ = [
     "load_embeddings",
     "tokenize",
     "ConfigError",
-    "ContextMatrix",
     "ENCODER_KINDS",
     "POOLINGS",
-    "SentenceEmbedding",
     "build_encoder",
     "encode",
     "encode_and_pool",

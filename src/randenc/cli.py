@@ -13,6 +13,7 @@ import dataclasses
 import sys
 
 from . import __version__
+from .embeddings import read_lines
 from .encoders import KINDS, POOLINGS, ConfigError, build_encoder, encode_corpus
 from .runner import (
     ExperimentConfig,
@@ -99,8 +100,10 @@ def _cmd_encode(args) -> int:
     if args.trees and not on_trees:
         raise ConfigError(f"{spec.kind} encoding reads no parses; --trees does not apply")
     # every input line is checked before the vectors load or the output opens
-    with open(args.input, encoding="utf-8") as fh:
-        sentences = [line.rstrip("\n") for line in fh]
+    lines = read_lines(args.input, lambda line_no, _offset, reason: ValueError(
+        f"{args.input}:{line_no}: {reason}"
+    ))
+    sentences = [line.rstrip("\n") for _line_no, line in lines]
     for line_no, sentence in enumerate(sentences, start=1):
         if not sentence.split():
             raise ValueError(f"{args.input}:{line_no}: empty line")

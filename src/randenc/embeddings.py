@@ -7,6 +7,7 @@ here is ever trained.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ import numpy as np
 __all__ = [
     "EmbeddingFormatError",
     "WordEmbeddingTable",
+    "read_lines",
     "TokenSequence",
     "load_embeddings",
     "write_embeddings",
@@ -40,13 +42,40 @@ class EmbeddingFormatError(ValueError):
         self.line_no = line_no
 
 
+# What errors="surrogateescape" decodes each byte that is not UTF-8 to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path, error):
+    """(line number, line) for each line of a UTF-8 text file, numbered from 1.
+
+    A byte that is not UTF-8 raises error(line_no, offset, reason): the line
+    that holds the first such byte, the byte's offset in that line and what
+    is wrong. Text mode decodes ahead in chunks, so its exception can come
+    lines before that byte; the file is read again to place it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            pass
+        else:
+            return
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE.search(line)
+            if bad:
+                offset = len(line[: bad.start()].encode("utf-8"))
+                byte = ord(bad.group()) - 0xDC00
+                raise error(line_no, offset, f"byte 0x{byte:02x} is not UTF-8")
+
+
 @dataclass
 class WordEmbeddingTable:
     """Vocabulary -> fixed D-dimensional vectors. Immutable after load."""
 
     dim: int
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    duplicates: int = 0
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
@@ -94,10 +123,9 @@ def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     is checked, so a file loads with a vocab exactly when it loads without
     one, and a kept word gets the same bits.
 
-    Duplicate words keep their first occurrence; the number of dropped
-    duplicates, counted over all words, is reported on the table. A line
-    with a token and no value, a dimension mismatch or an unparseable value
-    raises EmbeddingFormatError naming the file and the first such line. If
+    Duplicate words keep their first occurrence. A line with a token and no
+    value, a dimension mismatch or an unparseable value raises
+    EmbeddingFormatError naming the file and the first such line. If
     there is none, a non-finite value (nan, inf, or a number that overflows)
     raises it naming the first line that holds one.
 
@@ -105,43 +133,40 @@ def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     it rejects, or whose width is not the file's, is parsed again line by
     line with float(); that path finds the failing line and accepts the
     values float() takes and loadtxt does not (1_0, non-ASCII digits).
-    Memory is the kept vectors, one block and the set of words seen.
+    Memory is the kept vectors and one block. A byte that is not UTF-8
+    raises EmbeddingFormatError naming the line that holds it.
     """
     vectors: dict[str, np.ndarray] = {}
-    seen: set[str] = set()
     dim: int | None = None
-    duplicates = 0
     first_non_finite: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line_nos, words, rests in _entry_blocks(fh, path):
-            rows = _parse_block(path, line_nos, rests, dim)
-            dim = rows.shape[1]
-            if first_non_finite is None:
-                finite = np.isfinite(rows).all(axis=1)
-                if not finite.all():
-                    first_non_finite = line_nos[int(np.argmin(finite))]
-            for word, row in zip(words, rows):
-                if word in seen:
-                    duplicates += 1
-                    continue
-                seen.add(word)
-                if vocab is None or word in vocab:
-                    vectors[word] = row.copy()  # a copy, so the block is freed
+    lines = read_lines(path, lambda line_no, _offset, reason: EmbeddingFormatError(
+        reason, line_no, path
+    ))
+    for line_nos, words, rests in _entry_blocks(lines, path):
+        rows = _parse_block(path, line_nos, rests, dim)
+        dim = rows.shape[1]
+        if first_non_finite is None:
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                first_non_finite = line_nos[int(np.argmin(finite))]
+        for word, row in zip(words, rows):
+            if (vocab is None or word in vocab) and word not in vectors:
+                vectors[word] = row.copy()  # a copy, so the block is freed
     if dim is None:
         raise EmbeddingFormatError(f"no embeddings found in {path}")
     if first_non_finite is not None:
         raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
-    return WordEmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
+    return WordEmbeddingTable(dim=dim, vectors=vectors)
 
 
-def _entry_blocks(fh, path):
+def _entry_blocks(lines, path):
     """(line numbers, words, value strings) of up to _BLOCK_LINES entry
     lines at a time; blank lines are skipped. A line holding only a token
     raises once the lines before it have been yielded, so their errors win."""
     line_nos: list[int] = []
     words: list[str] = []
     rests: list[str] = []
-    for line_no, line in enumerate(fh, start=1):
+    for line_no, line in lines:
         parts = line.split(None, 1)
         if not parts:
             continue

@@ -1,11 +1,12 @@
 """Frozen random sentence encoders behind a single encode() interface.
 
 Each encoder samples its parameters once from a seeded prior and never
-updates them. encode() maps a TokenSequence to a ContextMatrix (temporal
-length x output width); pool() reduces that to a fixed-length sentence
-embedding. encode_corpus() is the batched path the sweep uses: it encodes
-equal-length sentences together through each kind's encode_batch and pools
-them, and encode() stays the per-sentence reference it is tested against.
+updates them. encode() maps a TokenSequence to a T x D' array (temporal
+length x output width); pool() reduces the rows axis of that array, or of a
+B x T x D' batch, to fixed-length sentence embeddings. encode_corpus() is
+the batched path the sweep uses: it encodes equal-length sentences together
+through each kind's encode_batch and pools them with pool(), and encode()
+stays the per-sentence reference it is tested against.
 
 Reproducibility contract: parameters are drawn from randenc.numerics.SeededRng
 (numpy PCG64) in the exact order documented on each builder, so a
@@ -35,8 +36,6 @@ from .numerics import (
 
 __all__ = [
     "ConfigError",
-    "ContextMatrix",
-    "SentenceEmbedding",
     "ENCODER_KINDS",
     "KINDS",
     "EncoderKind",
@@ -84,35 +83,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class ContextMatrix:
-    """Encoder output: one row per temporal position (or tree node)."""
-
-    values: np.ndarray  # T x D'
-    encoder: str
-    seed: int
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class SentenceEmbedding:
-    values: np.ndarray  # D'
-    encoder: str
-    seed: int
-    pooling: str
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def _check_input_dim(params, seq: TokenSequence) -> None:
@@ -654,8 +624,8 @@ def build_encoder(kind: str, seed: int, in_dim: int, out_dim: int, **hyper):
         raise ConfigError(f"{kind}: bad hyperparameters ({exc})") from None
 
 
-def encode(params, seq: TokenSequence, tree=None) -> ContextMatrix:
-    """Run one frozen encoder over a sentence.
+def encode(params, seq: TokenSequence, tree=None) -> np.ndarray:
+    """Run one frozen encoder over a sentence: a T x D' array.
 
     tree is required for (and only used by) a kind that reads parses. The
     checks are encode_corpus's; output is finite and at least 1 row long.
@@ -667,23 +637,20 @@ def encode(params, seq: TokenSequence, tree=None) -> ContextMatrix:
     values = KINDS[kind].encode(params, seq, tree)
     if not np.isfinite(values).all():
         raise ArithmeticError(f"{kind}: non-finite values in encoder output")
-    return ContextMatrix(values, kind, params.seed)
+    return values
 
 
-def pool(context: ContextMatrix, kind: str) -> SentenceEmbedding:
-    """Temporal pooling: columnwise max or arithmetic mean."""
+def pool(values: np.ndarray, kind: str) -> np.ndarray:
+    """Temporal pooling over the rows axis (-2): columnwise max or arithmetic
+    mean of a T x D' sentence, or of each sentence of a B x T x D' batch."""
     if kind not in POOLINGS:
         raise ValueError(f"unknown pooling {kind!r}; expected one of {POOLINGS}")
-    if context.length < 1:
+    if values.shape[-2] < 1:
         raise ValueError("cannot pool an empty context matrix")
-    if kind == "max":
-        values = context.values.max(axis=0)
-    else:
-        values = context.values.mean(axis=0)
-    return SentenceEmbedding(values, context.encoder, context.seed, kind)
+    return values.max(axis=-2) if kind == "max" else values.mean(axis=-2)
 
 
-def encode_and_pool(params, seq: TokenSequence, pooling: str, tree=None) -> SentenceEmbedding:
+def encode_and_pool(params, seq: TokenSequence, pooling: str, tree=None) -> np.ndarray:
     return pool(encode(params, seq, tree=tree), pooling)
 
 
@@ -750,7 +717,7 @@ def encode_corpus(
             if not np.isfinite(values).all():
                 raise ArithmeticError(f"{params.kind}: non-finite values in encoder output")
             for kind, rows in out.items():
-                rows[idx] = values.max(axis=1) if kind == "max" else values.mean(axis=1)
+                rows[idx] = pool(values, kind)
     return out
 
 

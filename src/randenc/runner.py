@@ -33,6 +33,7 @@ from .embeddings import (
     clean_tokens,
     embed_sentence,
     load_embeddings,
+    read_lines,
     tokenize,
 )
 from .encoders import ConfigError
@@ -202,24 +203,26 @@ class ExperimentConfig:
         base = os.path.dirname(os.path.abspath(path))
         entries: dict[str, str] = {}
         line_of: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key in _REMOVED_KEYS:
-                    raise ConfigError(f"{path}:{line_no}: config key {key!r} was removed: "
-                                      f"{_REMOVED_KEYS[key]}")
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-                if key in entries:
-                    raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-                entries[key] = value.strip()
-                line_of[key] = line_no
+        lines = read_lines(path, lambda line_no, _offset, reason: ConfigError(
+            f"{path}:{line_no}: {reason}"
+        ))
+        for line_no, line in lines:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+            key, _, value = stripped.partition("=")
+            key = key.strip()
+            if key in _REMOVED_KEYS:
+                raise ConfigError(f"{path}:{line_no}: config key {key!r} was removed: "
+                                  f"{_REMOVED_KEYS[key]}")
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+            if key in entries:
+                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+            entries[key] = value.strip()
+            line_of[key] = line_no
 
         def where(key: str) -> str:
             return f"{path}:{line_of[key]}"

@@ -51,7 +51,7 @@ def check_permutation_invariance() -> None:
     shuffled = TokenSequence([seq.tokens[i] for i in perm], seq.vectors[perm])
 
     def pooled(params, s):
-        return encoders.encode_and_pool(params, s, "max").values
+        return encoders.encode_and_pool(params, s, "max")
 
     if np.abs(pooled(borep, seq) - pooled(borep, shuffled)).max() > 1e-10:
         raise AssertionError("BOREP max-pooled embedding is not permutation-invariant")
@@ -89,7 +89,7 @@ def check_batched_encode() -> None:
         pooled = encoders.encode_corpus(params, seqs, ("max", "mean"), trees=sentence_trees)
         for pooling, rows in pooled.items():
             oracle = np.array([
-                encoders.encode_and_pool(params, seq, pooling, tree=tree).values
+                encoders.encode_and_pool(params, seq, pooling, tree=tree)
                 for seq, tree in zip(seqs, sentence_trees)
             ])
             gap = float(np.abs(rows - oracle).max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import WordEmbeddingTable
+from .embeddings import WordEmbeddingTable, read_lines
 from .numerics import SeededRng
 from .probe import SplitPlan
 from .trees import ParseTree, format_bracketed, read_tree_file, right_branching_parse
@@ -44,6 +44,15 @@ _MANIFEST_KEYS = {"name", "kind", "train", "dev", "test", "data", "split", "tree
 
 class TaskFormatError(ValueError):
     """Malformed manifest or task data file."""
+
+
+def _read_task_lines(path: str, what: str) -> list[tuple[int, str]]:
+    try:
+        return list(read_lines(path, lambda line_no, _offset, reason: TaskFormatError(
+            f"{path}:{line_no}: {reason}"
+        )))
+    except OSError as exc:
+        raise TaskFormatError(f"cannot read {what} {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -99,12 +108,7 @@ class TaskDataset:
 
 def load_manifest(path: str) -> dict:
     entries: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise TaskFormatError(f"cannot read manifest {path}: {exc}") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in _read_task_lines(path, "manifest"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -123,12 +127,7 @@ def load_manifest(path: str) -> dict:
 def _read_tsv(path: str, kind: str):
     texts, texts2, labels = [], [], []
     n_fields = 2 if kind == "single" else 3
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise TaskFormatError(f"cannot read data file {path}: {exc}") from None
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in _read_task_lines(path, "data file"):
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -375,7 +374,7 @@ def make_synthetic_embeddings(tokens, dim: int, seed: int = 0) -> WordEmbeddingT
         if token in vectors:
             raise ValueError(f"duplicate token {token!r} in synthetic vocabulary")
         vectors[token] = rng.uniform(-1.0, 1.0, (dim,))
-    return WordEmbeddingTable(dim=dim, vectors=vectors, duplicates=0)
+    return WordEmbeddingTable(dim=dim, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------

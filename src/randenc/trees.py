@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .embeddings import TokenSequence
+from .embeddings import TokenSequence, read_lines
 from .encoders import (
     ConfigError,
     LstmWeights,
@@ -157,14 +157,15 @@ def format_bracketed(tree: ParseTree) -> str:
 def read_tree_file(path: str) -> list[ParseTree]:
     """One bracketed parse per non-blank line, in file order."""
     trees = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                trees.append(parse_bracketed(line.strip()))
-            except TreeParseError as exc:
-                raise TreeParseError(f"{path}:{line_no}: {exc.args[0]}", exc.offset) from None
+    for line_no, line in read_lines(path, lambda line_no, offset, reason: TreeParseError(
+        f"{path}:{line_no}: {reason}", offset
+    )):
+        if not line.strip():
+            continue
+        try:
+            trees.append(parse_bracketed(line.strip()))
+        except TreeParseError as exc:
+            raise TreeParseError(f"{path}:{line_no}: {exc.args[0]}", exc.offset) from None
     return trees
 
 

@@ -19,7 +19,7 @@ def tiny_table():
     rng = np.random.default_rng(99)
     words = ["the", "cat", "sat", "down", "fast", "dog", "ran", "*"]
     return WordEmbeddingTable(
-        dim=6, vectors={w: rng.normal(size=6) for w in words}, duplicates=0
+        dim=6, vectors={w: rng.normal(size=6) for w in words}
     )
 
 

@@ -73,7 +73,7 @@ def test_criterion_1_cnn_window1_matches_borep():
         seq = random_seq(rng, t, 16)
         borep = build_borep(seed=i, in_dim=16, out_dim=64)
         cnn = cnn_from_borep(borep)
-        a = encode(borep, seq).values
+        a = encode(borep, seq)
         b = encode_cnn(cnn, seq)
         worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - start
@@ -204,7 +204,7 @@ def test_criterion_2_brute_force_oracles():
     # LSTM recurrence, T <= 3
     lstm = build_rand_lstm(seed=5, in_dim=4, out_dim=8)
     seq = random_seq(rng, 3, 4)
-    got = encode(lstm, seq).values
+    got = encode(lstm, seq)
     want = np.array(naive_bilstm(lstm, seq.vectors.tolist()))
     ok &= float(np.abs(got - want).max()) <= 1e-10
 
@@ -259,11 +259,11 @@ def test_criterion_3_permutation_suite():
             tokens=tuple(seq.tokens[j] for j in perm), vectors=seq.vectors[perm]
         )
         for params in (borep, attn_nope):
-            a = encode_and_pool(params, seq, "max").values
-            b = encode_and_pool(params, shuffled, "max").values
+            a = encode_and_pool(params, seq, "max")
+            b = encode_and_pool(params, shuffled, "max")
             invariant_ok &= float(np.abs(a - b).max()) <= 1e-10
-        a = encode_and_pool(attn_pe, seq, "max").values
-        b = encode_and_pool(attn_pe, shuffled, "max").values
+        a = encode_and_pool(attn_pe, seq, "max")
+        b = encode_and_pool(attn_pe, shuffled, "max")
         n_differ += float(np.abs(a - b).max()) > 1e-6
     elapsed = time.perf_counter() - start
     report(

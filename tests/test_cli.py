@@ -73,7 +73,7 @@ def test_encode_matches_per_sentence_oracle(tmp_path, kind, pooling):
     for text, tree in zip(texts, trees):
         tokens = clean_tokens(tokenize(text)) if on_trees else tokenize(text)
         seq = embed_sentence(table, tokens, oov="zero" if on_trees else "drop")
-        oracle.append(enc.encode_and_pool(params, seq, pooling, tree=tree).values)
+        oracle.append(enc.encode_and_pool(params, seq, pooling, tree=tree))
     assert_matches_oracle(kind, values, np.array(oracle))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randenc import embeddings
+from randenc import cli, embeddings
 from randenc.embeddings import (
     EmbeddingFormatError,
     OOV_TOKEN,
@@ -16,6 +16,10 @@ from randenc.embeddings import (
     tokenize,
     write_embeddings,
 )
+from randenc.encoders import ConfigError
+from randenc.runner import ExperimentConfig
+from randenc.tasks import TaskFormatError, load_manifest, load_task
+from randenc.trees import TreeParseError, read_tree_file
 
 
 def test_load_basic(tmp_path):
@@ -79,14 +83,13 @@ def test_duplicates_first_wins(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("a 1.0 2.0\na 9.0 9.0\nb 0.5 0.5\n")
     table = load_embeddings(str(p))
-    assert table.duplicates == 1
     assert np.array_equal(table.lookup("a"), [1.0, 2.0])
 
 
 def test_roundtrip_10k_synthetic(tmp_path):
     rng = np.random.default_rng(5)
     vectors = {f"word_{i}": rng.normal(size=8) for i in range(10_000)}
-    table = WordEmbeddingTable(dim=8, vectors=vectors, duplicates=0)
+    table = WordEmbeddingTable(dim=8, vectors=vectors)
     p = tmp_path / "big.txt"
     write_embeddings(table, str(p))
     loaded = load_embeddings(str(p))
@@ -104,7 +107,7 @@ def test_roundtrip_10k_synthetic(tmp_path):
 def reference_load(path) -> WordEmbeddingTable:
     """The loader's rules applied one line at a time with float(): the
     specification the block loader must match bit for bit."""
-    vectors, dim, duplicates, first_non_finite = {}, None, 0, None
+    vectors, dim, first_non_finite = {}, None, None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
@@ -127,15 +130,13 @@ def reference_load(path) -> WordEmbeddingTable:
                 raise EmbeddingFormatError(f"unparseable value ({exc})", line_no, path) from None
             if first_non_finite is None and not np.isfinite(vec).all():
                 first_non_finite = line_no
-            if word in vectors:
-                duplicates += 1
-            else:
+            if word not in vectors:
                 vectors[word] = vec
     if dim is None:
         raise EmbeddingFormatError(f"no embeddings found in {path}")
     if first_non_finite is not None:
         raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
-    return WordEmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
+    return WordEmbeddingTable(dim=dim, vectors=vectors)
 
 
 def load_outcome(load, path, keep=lambda word: True):
@@ -146,7 +147,7 @@ def load_outcome(load, path, keep=lambda word: True):
     except EmbeddingFormatError as exc:
         return "error", str(exc), exc.line_no
     kept = [(w, v.dtype.str, v.shape, v.tobytes()) for w, v in table.vectors.items() if keep(w)]
-    return "table", table.dim, table.duplicates, kept
+    return "table", table.dim, kept
 
 
 def assert_loads_like_reference(path, vocab):
@@ -234,7 +235,7 @@ def test_unused_words_are_checked_but_not_kept(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("a 1.0 2.0\nb 3.0 4.0\nb 5.0 6.0\nc 1_0 ٣\n")
     table = load_embeddings(str(p), {"c", "absent"})
-    assert (table.dim, table.duplicates, list(table.vectors)) == (2, 1, ["c"])
+    assert (table.dim, list(table.vectors)) == (2, ["c"])
     assert np.array_equal(table.lookup("c"), [10.0, 3.0])
     p.write_text("a 1.0 2.0\nb 3.0 oops\nc 1.0 2.0\n")
     with pytest.raises(EmbeddingFormatError, match=":2: unparseable"):
@@ -320,3 +321,72 @@ def test_embed_rejects_unknown_policy(tiny_table):
 def test_embed_never_empty(tiny_table):
     for tokens in (["zzz"], ["the"], ["qqq", "zzz", "www"]):
         assert embed_sentence(tiny_table, tokens).vectors.shape[0] >= 1
+
+
+# ---------------------------------------------------------------------------
+# input files that are not UTF-8
+# ---------------------------------------------------------------------------
+
+
+def _read_with(reader, tmp_path, path):
+    """Run one of the program's file readers on path."""
+    if reader == "vectors":
+        load_embeddings(path)
+    elif reader == "manifest":
+        load_manifest(path)
+    elif reader == "tsv":
+        for split in ("dev", "test"):
+            (tmp_path / f"{split}.tsv").write_text("pos\ta b\nneg\tc d\n", encoding="utf-8")
+        manifest = tmp_path / "task.manifest"
+        manifest.write_text(
+            "name=t\nkind=single\ntrain=bad.txt\ndev=dev.tsv\ntest=test.tsv\n", encoding="utf-8"
+        )
+        load_task(str(manifest))
+    elif reader == "parses":
+        read_tree_file(path)
+    elif reader == "config":
+        ExperimentConfig.from_file(path)
+    else:  # randenc encode --input, checked before the vectors load
+        out = tmp_path / "out.txt"
+        code = cli.main([
+            "encode", "--encoder", "borep", "--dim", "4", "--seed", "0", "--pooling", "max",
+            "--embeddings", str(tmp_path / "absent.txt"), "--input", path, "--output", str(out),
+        ])
+        assert code == 2 and not out.exists()
+
+
+# reader: (its error class, the lines before the bad one, the bad line). The
+# vectors case puts its bad byte past the first chunk text mode decodes.
+NOT_UTF8 = {
+    "vectors": (
+        EmbeddingFormatError,
+        [f"w{i} {i}.5 -{i}.25" for i in range(1200)],
+        b"caf\xe9 1.0 2.0",
+    ),
+    "manifest": (TaskFormatError, ["name=t", "kind=single"], b"# caf\xe9"),
+    "tsv": (TaskFormatError, ["pos\ta b", "neg\tc d"], b"pos\tcaf\xe9 au lait"),
+    "parses": (TreeParseError, ["(S (W a) (W b))", "(S (W c) (W d))"], b"(S (W \xff) (W e))"),
+    "config": (ConfigError, ["# a sweep", "embeddings=v.txt"], b"# caf\xe9 au lait"),
+    "input": (None, ["a b", "c d"], b"e \xff f"),
+}
+
+
+@pytest.mark.parametrize("reader", list(NOT_UTF8))
+def test_byte_not_utf8_names_file_and_line(tmp_path, capsys, reader):
+    error, before, bad = NOT_UTF8[reader]
+    path = tmp_path / "bad.txt"
+    path.write_bytes("".join(line + "\n" for line in before).encode() + bad + b"\nz 1 2\n")
+    line_no = len(before) + 1
+    byte = next(b for b in bad if b >= 0x80)
+    message = f"{path}:{line_no}: byte 0x{byte:02x} is not UTF-8"
+    if error is None:
+        _read_with(reader, tmp_path, str(path))
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(error) as err:
+        _read_with(reader, tmp_path, str(path))
+    assert str(err.value).startswith(message)
+    if reader == "vectors":
+        assert err.value.line_no == line_no
+    if reader == "parses":
+        assert err.value.offset == bad.index(byte)

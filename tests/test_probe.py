@@ -464,6 +464,25 @@ def test_kfold_leave_one_out_separable():
     assert acc == 1.0
 
 
+@pytest.mark.parametrize("singleton", [0, 2])
+def test_kfold_scores_a_class_missing_from_a_fold_as_a_miss(singleton):
+    # 40 separable examples of two classes and one far example of a third:
+    # the fold that holds the singleton trains without its class and misses
+    # it, the other folds score 1, wherever the class sits in label order
+    x, y = make_blobs(40, margin=3.0, seed=2)
+    x = np.vstack([x, [[0.0, 30.0]]])
+    y = np.concatenate([y + (singleton == 0), [singleton]])
+    acc = kfold_accuracy(x, y, k=10, config=ProbeConfig(max_epochs=100))
+    assert acc == pytest.approx((4 / 5 + 9) / 10)
+
+
+def test_kfold_fold_training_on_one_class_raises():
+    y = np.array([0, 0, 0, 1])
+    x = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(DegenerateTaskError):
+        kfold_accuracy(x, y, k=2, config=ProbeConfig(max_epochs=10))
+
+
 def test_stratified_folds_balanced():
     y = np.array([0] * 40 + [1] * 40)
     assignment = stratified_folds(y, 10, seed=3)

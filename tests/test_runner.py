@@ -473,7 +473,7 @@ def test_pair_task_encoding_matches_per_sentence_path(tmp_path, kind):
         seqs = runner.embed_texts(table, token_lists, tree=on_trees, oov=config.oov)
         for pooling in ("max", "mean"):
             oracle = np.array([
-                enc.encode_and_pool(params, seq, pooling, tree=tree if on_trees else None).values
+                enc.encode_and_pool(params, seq, pooling, tree=tree if on_trees else None)
                 for seq, tree in zip(seqs, trees)
             ])
             assert_matches_oracle(kind, pooled[pooling], oracle)
