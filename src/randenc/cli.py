@@ -103,10 +103,11 @@ def _cmd_encode(args) -> int:
     lines = read_lines(args.input, lambda line_no, _offset, reason: ValueError(
         f"{args.input}:{line_no}: {reason}"
     ))
-    sentences = [line.rstrip("\n") for _line_no, line in lines]
-    for line_no, sentence in enumerate(sentences, start=1):
-        if not sentence.split():
+    sentences = []
+    for line_no, line in lines:
+        if not line.split():
             raise ValueError(f"{args.input}:{line_no}: empty line")
+        sentences.append(line.rstrip("\n"))
     parses = read_parses(args.trees, sentences) if on_trees else [None] * len(sentences)
     token_lists = tokenize_texts(sentences, tree=on_trees, lowercase=not args.no_lowercase,
                                  clean=args.clean)

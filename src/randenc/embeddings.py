@@ -7,9 +7,12 @@ here is ever trained.
 
 from __future__ import annotations
 
+import io
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,28 +49,67 @@ class EmbeddingFormatError(ValueError):
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def read_lines(path, error):
+def read_lines(path, error, start: int = 0, end: int | None = None):
     """(line number, line) for each line of a UTF-8 text file, numbered from 1.
 
-    A byte that is not UTF-8 raises error(line_no, offset, reason): the line
+    start and end, byte offsets each just after a newline (or 0, or the
+    file's size), read only the lines between them, numbered from 1 as if
+    they were a file of their own; end None reads to the end of the file. A
+    byte-order mark at byte 0 of the file is dropped.
+
+    A byte that is not UTF-8 raises error(line_no, offset, reason) once the
+    lines before it have been yielded, so an error they raise wins: the line
     that holds the first such byte, the byte's offset in that line and what
     is wrong. Text mode decodes ahead in chunks, so its exception can come
-    lines before that byte; the file is read again to place it.
+    lines before that byte; the lines are read again to place it.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError:
-            pass
-        else:
+    done = 0
+    try:
+        with _open_text(path, start, end, "strict") as fh:
+            for done, line in enumerate(fh, start=1):
+                yield done, line
             return
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    except UnicodeDecodeError:
+        pass
+    with _open_text(path, start, end, "surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             bad = _ESCAPED_BYTE.search(line)
             if bad:
                 offset = len(line[: bad.start()].encode("utf-8"))
                 byte = ord(bad.group()) - 0xDC00
                 raise error(line_no, offset, f"byte 0x{byte:02x} is not UTF-8")
+            if line_no > done:
+                yield line_no, line
+
+
+def _open_text(path, start: int, end: int | None, errors: str):
+    """Bytes [start, end) of path as UTF-8 text; only byte 0 may hold a BOM."""
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    if start == 0 and end is None:
+        return open(path, encoding=encoding, errors=errors)
+    raw = _ByteRange(open(path, "rb", buffering=0), start, end)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding, errors=errors)
+
+
+class _ByteRange(io.RawIOBase):
+    """An unbuffered binary file read from byte start up to byte end."""
+
+    def __init__(self, raw, start: int, end: int):
+        self._raw = raw
+        self._left = end - start
+        raw.seek(start)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
 
 
 @dataclass
@@ -114,6 +156,16 @@ class TokenSequence:
 # few enough that one block of 300-d rows stays under 5 MB.
 _BLOCK_LINES = 2048
 
+# A file is parsed in one byte range per usable core, but no range is
+# smaller than this: below it, starting a process costs more than it saves.
+_RANGE_BYTES = 32 << 20
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     """Read a GloVe-style text file into a WordEmbeddingTable.
@@ -124,69 +176,207 @@ def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     one, and a kept word gets the same bits.
 
     Duplicate words keep their first occurrence. A line with a token and no
-    value, a dimension mismatch or an unparseable value raises
-    EmbeddingFormatError naming the file and the first such line. If
-    there is none, a non-finite value (nan, inf, or a number that overflows)
-    raises it naming the first line that holds one.
+    value, a dimension mismatch, an unparseable value or a byte that is not
+    UTF-8 raises EmbeddingFormatError naming the file and the first such
+    line. If there is none, a non-finite value (nan, inf, or a number that
+    overflows) raises it naming the first line that holds one. A byte-order
+    mark at the start of the file is dropped.
+
+    A file of at least two _RANGE_BYTES is cut, just after newlines, into
+    one byte range per usable core (at most size // _RANGE_BYTES); this
+    process parses the first range while forked workers parse the others,
+    every range against the width of the file's first entry line. No worker
+    outlives the call. The table, and the error raised, are the same
+    whatever the number of ranges.
 
     Lines are read in blocks whose numbers np.loadtxt parses in C. A block
     it rejects, or whose width is not the file's, is parsed again line by
     line with float(); that path finds the failing line and accepts the
     values float() takes and loadtxt does not (1_0, non-ASCII digits).
-    Memory is the kept vectors and one block. A byte that is not UTF-8
-    raises EmbeddingFormatError naming the line that holds it.
+    Memory is the kept vectors and one block per process.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    first_non_finite: int | None = None
-    lines = read_lines(path, lambda line_no, _offset, reason: EmbeddingFormatError(
-        reason, line_no, path
-    ))
-    for line_nos, words, rests in _entry_blocks(lines, path):
-        rows = _parse_block(path, line_nos, rests, dim)
-        dim = rows.shape[1]
-        if first_non_finite is None:
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                first_non_finite = line_nos[int(np.argmin(finite))]
-        for word, row in zip(words, rows):
-            if (vocab is None or word in vocab) and word not in vectors:
-                vectors[word] = row.copy()  # a copy, so the block is freed
-    if dim is None:
+    parts = _parse_ranges(path, vocab)
+    offset = 0  # lines in the ranges before part
+    first_non_finite = None
+    for part in parts:
+        if part.error is not None:
+            line_no, reason = part.error
+            raise EmbeddingFormatError(reason, offset + line_no, path)
+        if first_non_finite is None and part.non_finite is not None:
+            first_non_finite = offset + part.non_finite
+        offset += part.n_lines
+    dims = [part.dim for part in parts if part.dim is not None]
+    if not dims:
         raise EmbeddingFormatError(f"no embeddings found in {path}")
     if first_non_finite is not None:
         raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
-    return WordEmbeddingTable(dim=dim, vectors=vectors)
+    vectors = parts[0].vectors
+    for part in parts[1:]:
+        for word, row in part.vectors.items():
+            vectors.setdefault(word, row)
+    return WordEmbeddingTable(dim=dims[0], vectors=vectors)
 
 
-def _entry_blocks(lines, path):
+def _parse_ranges(path, vocab) -> list[_Range]:
+    """Each byte range of the file parsed, in file order; the ranges after
+    one with an error are left out.
+
+    Each worker is a forked process that sends its range back over a pipe
+    of its own. A multiprocessing.Pool is not used: its terminate() can hang
+    for good when it kills a worker that holds the lock of the pool's shared
+    result queue.
+    """
+    size = os.path.getsize(path)
+    k = min(_usable_cores(), size // _RANGE_BYTES)
+    if k > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            k = 1
+    starts = _range_starts(path, size, k) if k > 1 else [0]
+    if len(starts) == 1:
+        return [_parse_range(path, 0, None, vocab, None)]
+    ends = starts[1:] + [size]
+    dim = _first_width(path)
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for start, end in zip(starts[1:], ends[1:]):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_range, daemon=True,
+                                     args=(sender, path, start, end, vocab, dim))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        parts = [_parse_range(path, 0, ends[0], vocab, dim)]
+        for _worker, receiver in workers:
+            if parts[-1].error:
+                break
+            part = receiver.recv()
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+        return parts
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.terminate()
+            worker.join()
+
+
+def _send_range(sender, *args) -> None:
+    """A worker's body: send _parse_range(*args), or the error it raised
+    (an OSError or MemoryError) for the caller to raise."""
+    try:
+        part = _parse_range(*args)
+    except Exception as exc:
+        part = exc
+    sender.send(part)
+
+
+def _range_starts(path, size: int, k: int) -> list[int]:
+    """Where up to k byte ranges of about size / k bytes start: 0, then each
+    cut just after a newline."""
+    starts = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, k):
+            fh.seek(i * size // k - 1)
+            fh.readline()
+            if starts[-1] < fh.tell() < size:
+                starts.append(fh.tell())
+    return starts
+
+
+def _first_width(path) -> int | None:
+    """The value count of the file's first entry line; None if no line
+    before a bad byte holds one."""
+    try:
+        for _line_no, line in read_lines(path, _bad_byte):
+            fields = line.split()
+            if fields:
+                return len(fields) - 1
+    except _BadLine:
+        pass
+    return None
+
+
+class _BadLine(Exception):
+    """A malformed line: args are its line number and what is wrong."""
+
+
+def _bad_byte(line_no: int, _offset: int, reason: str) -> _BadLine:
+    return _BadLine(line_no, reason)
+
+
+class _Range(NamedTuple):
+    """One byte range parsed, line numbers counted from its first line."""
+
+    vectors: dict[str, np.ndarray]  # the kept words, first occurrence
+    dim: int | None  # None: the range has no entry line
+    error: tuple[int, str] | None  # the first malformed line and its reason
+    non_finite: int | None  # the first line with a non-finite value
+    n_lines: int
+
+
+def _parse_range(path, start: int, end: int | None, vocab, dim: int | None) -> _Range:
+    """Parse the lines in bytes [start, end) of a vectors file, each against
+    dim values (None: the range's first entry line sets it). A malformed
+    line ends the range and is returned as data, not raised."""
+    vectors: dict[str, np.ndarray] = {}
+    width = error = first_non_finite = None
+    n_lines = 0
+
+    def lines():
+        nonlocal n_lines
+        for n_lines, line in read_lines(path, _bad_byte, start, end):
+            yield n_lines, line
+
+    try:
+        for line_nos, words, rests in _entry_blocks(lines()):
+            rows = _parse_block(line_nos, rests, dim)
+            dim = width = rows.shape[1]
+            if first_non_finite is None:
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    first_non_finite = line_nos[int(np.argmin(finite))]
+            for word, row in zip(words, rows):
+                if (vocab is None or word in vocab) and word not in vectors:
+                    vectors[word] = row.copy()  # a copy, so the block is freed
+    except _BadLine as exc:
+        error = exc.args
+    return _Range(vectors, width, error, first_non_finite, n_lines)
+
+
+def _entry_blocks(lines):
     """(line numbers, words, value strings) of up to _BLOCK_LINES entry
-    lines at a time; blank lines are skipped. A line holding only a token
-    raises once the lines before it have been yielded, so their errors win."""
+    lines at a time; blank lines are skipped. A line holding only a token,
+    or a _BadLine from lines, is raised once the lines before it have been
+    yielded, so their errors win."""
     line_nos: list[int] = []
     words: list[str] = []
     rests: list[str] = []
-    for line_no, line in lines:
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        if len(parts) == 1:
-            if line_nos:
+    try:
+        for line_no, line in lines:
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) == 1:
+                raise _BadLine(line_no, "expected a token and at least one value")
+            line_nos.append(line_no)
+            words.append(parts[0])
+            rests.append(parts[1])
+            if len(line_nos) == _BLOCK_LINES:
                 yield line_nos, words, rests
-            raise EmbeddingFormatError(
-                "expected a token and at least one value", line_no, path
-            )
-        line_nos.append(line_no)
-        words.append(parts[0])
-        rests.append(parts[1])
-        if len(line_nos) == _BLOCK_LINES:
+                line_nos, words, rests = [], [], []
+    except _BadLine:
+        if line_nos:
             yield line_nos, words, rests
-            line_nos, words, rests = [], [], []
+        raise
     if line_nos:
         yield line_nos, words, rests
 
 
-def _parse_block(path, line_nos, rests, dim: int | None) -> np.ndarray:
+def _parse_block(line_nos, rests, dim: int | None) -> np.ndarray:
     """The block's values as a len(rests) x dim array; dim None takes the
     first line's width."""
     try:
@@ -202,13 +392,11 @@ def _parse_block(path, line_nos, rests, dim: int | None) -> np.ndarray:
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
-            raise EmbeddingFormatError(
-                f"expected {dim} values, found {len(values)}", line_no, path
-            )
+            raise _BadLine(line_no, f"expected {dim} values, found {len(values)}")
         try:
             out.append([float(v) for v in values])
         except ValueError as exc:
-            raise EmbeddingFormatError(f"unparseable value ({exc})", line_no, path) from None
+            raise _BadLine(line_no, f"unparseable value ({exc})") from None
     return np.array(out, dtype=np.float64)
 
 

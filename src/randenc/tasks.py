@@ -46,11 +46,12 @@ class TaskFormatError(ValueError):
     """Malformed manifest or task data file."""
 
 
-def _read_task_lines(path: str, what: str) -> list[tuple[int, str]]:
+def _read_task_lines(path: str, what: str):
+    """read_lines with a file that cannot be read as a TaskFormatError."""
     try:
-        return list(read_lines(path, lambda line_no, _offset, reason: TaskFormatError(
+        yield from read_lines(path, lambda line_no, _offset, reason: TaskFormatError(
             f"{path}:{line_no}: {reason}"
-        )))
+        ))
     except OSError as exc:
         raise TaskFormatError(f"cannot read {what} {path}: {exc}") from None
 

@@ -1,3 +1,5 @@
+import contextlib
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -231,6 +233,81 @@ def test_block_boundary_at_full_block_size(tmp_path, offset, bad):
     assert_loads_like_reference(str(p), {"w0", "a", f"w{n - 1}"})
 
 
+@contextlib.contextmanager
+def split_into(n_ranges):
+    """Make load_embeddings cut every file of n_ranges bytes or more into
+    n_ranges byte ranges, parsed by this process and n_ranges - 1 workers."""
+    with mock.patch.object(embeddings, "_RANGE_BYTES", 1), \
+            mock.patch.object(embeddings, "_usable_cores", lambda: n_ranges):
+        yield
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=vector_files(),
+    n_ranges=st.sampled_from((1, 2, 3, 4)),
+    block_lines=st.sampled_from((1, 2, 2048)),
+    vocab=st.sets(st.sampled_from(WORDS + ("absent",)), max_size=4),
+)
+def test_ranged_loader_matches_per_line_reference(
+    tmp_path_factory, text, n_ranges, block_lines, vocab
+):
+    path = tmp_path_factory.mktemp("vectors") / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with split_into(n_ranges), mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
+        assert_loads_like_reference(str(path), vocab)
+
+
+# 24 lines, so 1, 2, 3 and 4 ranges all cut the file at line boundaries:
+# range r of k starts at line 24 * r // k.
+RANGED_LINES = 24
+RANGED_WIDTH = 20
+
+
+def range_firsts(n_ranges):
+    return [RANGED_LINES * r // n_ranges for r in range(n_ranges)]
+
+
+# case: (fewest ranges it needs, edits(first line of each range) -> {line: text})
+RANGE_CASES = {
+    "valid": (1, lambda f: {}),
+    "error_in_range_0": (2, lambda f: {f[1] - 1: "bad 1.0"}),
+    "error_in_range_2": (3, lambda f: {f[2]: "bad 1.0 oops"}),
+    "non_finite_in_1_error_in_2": (3, lambda f: {f[1]: "nf 1.0 inf", f[2]: "bad"}),
+    "non_finite_in_1_and_3": (4, lambda f: {f[3]: "nf 1.0 nan", f[1] + 1: "nf 1.0 inf"}),
+    "duplicate_across_boundary": (2, lambda f: {f[1] - 1: "dup 1.0 2.0", f[1]: "dup 3.0 4.0"}),
+    "short_first_line_in_range_1": (2, lambda f: {f[1]: "short 1.0"}),
+    "blank_range_1": (2, lambda f: {i: "" for i in range(f[1], (f + [RANGED_LINES])[2])}),
+    "blank_range_0": (2, lambda f: {i: "" for i in range(f[1])}),
+    "blank_range_0_short_line_after": (2, lambda f: {**{i: "" for i in range(f[1])},
+                                                     f[1] + 1: "short 1.0"}),
+    "all_blank": (1, lambda f: {i: "" for i in range(RANGED_LINES)}),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("case, n_ranges", [
+    (case, n_ranges) for case, (fewest, _edits) in RANGE_CASES.items()
+    for n_ranges in range(fewest, 5)
+])
+def test_ranged_loader_at_range_boundaries(tmp_path, case, n_ranges, newline):
+    edits = RANGE_CASES[case][1]
+    lines = [f"w{i:02d} {i}.5 -{i}.25" for i in range(RANGED_LINES)]
+    for line_no, text in edits(range_firsts(n_ranges)).items():
+        lines[line_no] = text
+    # every line padded to one width, so the cuts fall where range_firsts says
+    path = tmp_path / "vec.txt"
+    path.write_bytes("".join(line.ljust(RANGED_WIDTH) + newline for line in lines).encode())
+    size = path.stat().st_size
+    line_bytes = RANGED_WIDTH + len(newline)
+    assert embeddings._range_starts(str(path), size, n_ranges) == [
+        first * line_bytes for first in range_firsts(n_ranges)
+    ]
+    with split_into(n_ranges):
+        assert_loads_like_reference(str(path), {"w00", "w11", "w12", "w23", "dup", "short"})
+    assert multiprocessing.active_children() == []
+
+
 def test_unused_words_are_checked_but_not_kept(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("a 1.0 2.0\nb 3.0 4.0\nb 5.0 6.0\nc 1_0 ٣\n")
@@ -329,30 +406,34 @@ def test_embed_never_empty(tiny_table):
 
 
 def _read_with(reader, tmp_path, path):
-    """Run one of the program's file readers on path."""
+    """Run one of the program's file readers on path; what it read, as a
+    value that compares with ==."""
     if reader == "vectors":
-        load_embeddings(path)
-    elif reader == "manifest":
-        load_manifest(path)
-    elif reader == "tsv":
+        table = load_embeddings(path)
+        return table.dim, [(word, row.tolist()) for word, row in table.vectors.items()]
+    if reader == "manifest":
+        return load_manifest(path)
+    if reader == "tsv":
         for split in ("dev", "test"):
             (tmp_path / f"{split}.tsv").write_text("pos\ta b\nneg\tc d\n", encoding="utf-8")
         manifest = tmp_path / "task.manifest"
         manifest.write_text(
             "name=t\nkind=single\ntrain=bad.txt\ndev=dev.tsv\ntest=test.tsv\n", encoding="utf-8"
         )
-        load_task(str(manifest))
-    elif reader == "parses":
-        read_tree_file(path)
-    elif reader == "config":
-        ExperimentConfig.from_file(path)
-    else:  # randenc encode --input, checked before the vectors load
-        out = tmp_path / "out.txt"
-        code = cli.main([
-            "encode", "--encoder", "borep", "--dim", "4", "--seed", "0", "--pooling", "max",
-            "--embeddings", str(tmp_path / "absent.txt"), "--input", path, "--output", str(out),
-        ])
-        assert code == 2 and not out.exists()
+        task = load_task(str(manifest))
+        return task.texts, task.labels, task.classes
+    if reader == "parses":
+        return read_tree_file(path)
+    if reader == "config":
+        return ExperimentConfig.from_file(path)
+    # randenc encode --input; with no vectors.txt, the input is checked before
+    # the vectors load fails
+    out = tmp_path / "out.txt"
+    code = cli.main([
+        "encode", "--encoder", "borep", "--dim", "4", "--seed", "0", "--pooling", "max",
+        "--embeddings", str(tmp_path / "vectors.txt"), "--input", path, "--output", str(out),
+    ])
+    return code, out.read_bytes() if out.exists() else None
 
 
 # reader: (its error class, the lines before the bad one, the bad line). The
@@ -380,7 +461,7 @@ def test_byte_not_utf8_names_file_and_line(tmp_path, capsys, reader):
     byte = next(b for b in bad if b >= 0x80)
     message = f"{path}:{line_no}: byte 0x{byte:02x} is not UTF-8"
     if error is None:
-        _read_with(reader, tmp_path, str(path))
+        assert _read_with(reader, tmp_path, str(path)) == (2, None)
         assert capsys.readouterr().err == f"error: {message}\n"
         return
     with pytest.raises(error) as err:
@@ -390,3 +471,79 @@ def test_byte_not_utf8_names_file_and_line(tmp_path, capsys, reader):
         assert err.value.line_no == line_no
     if reader == "parses":
         assert err.value.offset == bad.index(byte)
+
+
+# reader: (its error class, the lines before a malformed line, that line and
+# the reason given for it)
+MALFORMED = {
+    "vectors": (EmbeddingFormatError, ["a 1 2"], "b 1 2 3", "expected 2 values, found 3"),
+    "manifest": (TaskFormatError, ["name=t"], "kind", "expected key=value"),
+    "tsv": (TaskFormatError, ["pos\ta b"], "pos", "expected 2 tab-separated fields"),
+    "parses": (TreeParseError, ["(S (W a) (W b))"], "(S (W a)", "unclosed '('"),
+    "config": (ConfigError, ["# a sweep"], "tasks", "expected key=value"),
+    "input": (None, ["a b"], " ", "empty line"),
+}
+
+
+@pytest.mark.parametrize("reader", list(MALFORMED))
+def test_malformed_line_before_byte_not_utf8_wins(tmp_path, capsys, reader):
+    # text mode decodes the whole small file at once, before any line is read
+    error, before, malformed, reason = MALFORMED[reader]
+    path = tmp_path / "bad.txt"
+    path.write_bytes("".join(line + "\n" for line in before + [malformed]).encode()
+                     + b"c \xff d\n")
+    message = f"{path}:{len(before) + 1}: {reason}"
+    if error is None:
+        assert _read_with(reader, tmp_path, str(path)) == (2, None)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(error) as err:
+        _read_with(reader, tmp_path, str(path))
+    assert str(err.value).startswith(message)
+
+
+# reader: the lines of a file it reads without error
+READABLE = {
+    "vectors": ["the 1 2", "cat 3 4"],
+    "manifest": ["name=t", "kind=single"],
+    "tsv": ["pos\ta b", "neg\tc d"],
+    "parses": ["(S (W a) (W b))"],
+    "config": ["embeddings=v.txt", "tasks=t.manifest", "encoders=borep"],
+    "input": ["a b", "b a"],
+}
+
+
+@pytest.mark.parametrize("reader", list(READABLE))
+def test_byte_order_mark_is_dropped(tmp_path, reader):
+    (tmp_path / "vectors.txt").write_text("a 1 0\nb 0 1\n", encoding="utf-8")
+    text = "".join(line + "\n" for line in READABLE[reader])
+    path = tmp_path / "bad.txt"  # the name the tsv reader's manifest gives
+    path.write_text(text, encoding="utf-8")
+    plain = _read_with(reader, tmp_path, str(path))
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _read_with(reader, tmp_path, str(path)) == plain
+
+
+@pytest.mark.parametrize("n_ranges", [1, 3])
+def test_byte_order_mark_is_dropped_only_at_byte_0(tmp_path, n_ranges):
+    path = tmp_path / "vec.txt"
+    path.write_text("\ufeffthe 1 2\n\ufeffcat 3 4\n\ufeffsat 5 6\n", encoding="utf-8")
+    with split_into(n_ranges):
+        table = load_embeddings(str(path))
+    assert list(table.vectors) == ["the", "\ufeffcat", "\ufeffsat"]
+
+
+@pytest.mark.parametrize("reader", ["manifest", "config"])
+def test_lines_before_a_late_bad_byte_are_read_once(tmp_path, reader):
+    # the bad byte is past the first chunk text mode decodes, so the lines of
+    # that chunk are read before the decode error; reading one twice would
+    # report a duplicate key
+    error = ConfigError if reader == "config" else TaskFormatError
+    key = "embeddings=v.txt" if reader == "config" else "name=t"
+    lines = [key] + ["# padding to push the bad byte past the first chunk"] * 400
+    path = tmp_path / "bad.txt"
+    path.write_bytes("".join(line + "\n" for line in lines).encode() + b"# caf\xe9\n")
+    with pytest.raises(error) as err:
+        _read_with(reader, tmp_path, str(path))
+    assert str(err.value) == f"{path}:{len(lines) + 1}: byte 0xe9 is not UTF-8"

@@ -1,5 +1,6 @@
 """Package-level contracts: CLI exit codes, the selfcheck suite, and exports."""
 
+import ast
 import importlib
 import io
 import os
@@ -53,6 +54,28 @@ def test_exports_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    # numpy stays the only runtime dependency
+    allowed = {"numpy", "randenc", *sys.stdlib_module_names}
+    package = os.path.join(ROOT, "src", "randenc")
+    outside = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{name}:{node.lineno}: {module}" for module in modules
+                        if module.partition(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_desk_sweep_quick_start_runs(tmp_path):
