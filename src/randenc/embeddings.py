@@ -184,29 +184,38 @@ def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
 
     A file of at least two _RANGE_BYTES is cut, just after newlines, into
     one byte range per usable core (at most size // _RANGE_BYTES); this
-    process parses the first range while forked workers parse the others,
-    every range against the width of the file's first entry line. No worker
-    outlives the call. The table, and the error raised, are the same
-    whatever the number of ranges.
+    process parses the first range while forked workers parse the others.
+    Each range is parsed against the width of its own first entry line, and
+    a later range whose first width is not the file's is reported at that
+    line. No worker outlives the call; after an error, the workers still
+    finish their ranges before it is raised. The table, and the error
+    raised, are the same whatever the number of ranges.
 
     Lines are read in blocks whose numbers np.loadtxt parses in C. A block
-    it rejects, or whose width is not the file's, is parsed again line by
+    it rejects, or whose width is not the range's, is parsed again line by
     line with float(); that path finds the failing line and accepts the
     values float() takes and loadtxt does not (1_0, non-ASCII digits).
     Memory is the kept vectors and one block per process.
     """
     parts = _parse_ranges(path, vocab)
     offset = 0  # lines in the ranges before part
-    first_non_finite = None
+    dim = first_non_finite = None
     for part in parts:
-        if part.error is not None:
-            line_no, reason = part.error
-            raise EmbeddingFormatError(reason, offset + line_no, path)
+        error = part.error
+        if part.first is not None:
+            line_no, width = part.first
+            if dim is None:
+                dim = width
+            elif width != dim:
+                # the range's own error, if any, is on this line or later, and
+                # a line's width is checked before its values are parsed
+                error = line_no, f"expected {dim} values, found {width}"
+        if error is not None:
+            raise EmbeddingFormatError(error[1], offset + error[0], path)
         if first_non_finite is None and part.non_finite is not None:
             first_non_finite = offset + part.non_finite
         offset += part.n_lines
-    dims = [part.dim for part in parts if part.dim is not None]
-    if not dims:
+    if dim is None:
         raise EmbeddingFormatError(f"no embeddings found in {path}")
     if first_non_finite is not None:
         raise EmbeddingFormatError("non-finite value (nan or inf)", first_non_finite, path)
@@ -214,17 +223,17 @@ def load_embeddings(path, vocab: set[str] | None = None) -> WordEmbeddingTable:
     for part in parts[1:]:
         for word, row in part.vectors.items():
             vectors.setdefault(word, row)
-    return WordEmbeddingTable(dim=dims[0], vectors=vectors)
+    return WordEmbeddingTable(dim=dim, vectors=vectors)
 
 
 def _parse_ranges(path, vocab) -> list[_Range]:
     """Each byte range of the file parsed, in file order; the ranges after
     one with an error are left out.
 
-    Each worker is a forked process that sends its range back over a pipe
-    of its own. A multiprocessing.Pool is not used: its terminate() can hang
-    for good when it kills a worker that holds the lock of the pool's shared
-    result queue.
+    The workers are a ProcessPoolExecutor's, and its with-exit waits for
+    them all. It never kills a worker, so it cannot hang the way
+    multiprocessing.Pool.terminate() can when it kills one that holds the
+    lock of the pool's result queue.
     """
     size = os.path.getsize(path)
     k = min(_usable_cores(), size // _RANGE_BYTES)
@@ -235,43 +244,20 @@ def _parse_ranges(path, vocab) -> list[_Range]:
             k = 1
     starts = _range_starts(path, size, k) if k > 1 else [0]
     if len(starts) == 1:
-        return [_parse_range(path, 0, None, vocab, None)]
+        return [_parse_range(path, 0, None, vocab)]
+    from concurrent.futures import ProcessPoolExecutor
+
     ends = starts[1:] + [size]
-    dim = _first_width(path)
     context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for start, end in zip(starts[1:], ends[1:]):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_range, daemon=True,
-                                     args=(sender, path, start, end, vocab, dim))
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
-        parts = [_parse_range(path, 0, ends[0], vocab, dim)]
-        for _worker, receiver in workers:
+    with ProcessPoolExecutor(len(starts) - 1, mp_context=context) as pool:
+        futures = [pool.submit(_parse_range, path, start, end, vocab)
+                   for start, end in zip(starts[1:], ends[1:])]
+        parts = [_parse_range(path, 0, ends[0], vocab)]
+        for future in futures:
             if parts[-1].error:
                 break
-            part = receiver.recv()
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-        return parts
-    finally:
-        for worker, receiver in workers:
-            receiver.close()
-            worker.terminate()
-            worker.join()
-
-
-def _send_range(sender, *args) -> None:
-    """A worker's body: send _parse_range(*args), or the error it raised
-    (an OSError or MemoryError) for the caller to raise."""
-    try:
-        part = _parse_range(*args)
-    except Exception as exc:
-        part = exc
-    sender.send(part)
+            parts.append(future.result())
+    return parts
 
 
 def _range_starts(path, size: int, k: int) -> list[int]:
@@ -287,19 +273,6 @@ def _range_starts(path, size: int, k: int) -> list[int]:
     return starts
 
 
-def _first_width(path) -> int | None:
-    """The value count of the file's first entry line; None if no line
-    before a bad byte holds one."""
-    try:
-        for _line_no, line in read_lines(path, _bad_byte):
-            fields = line.split()
-            if fields:
-                return len(fields) - 1
-    except _BadLine:
-        pass
-    return None
-
-
 class _BadLine(Exception):
     """A malformed line: args are its line number and what is wrong."""
 
@@ -312,18 +285,18 @@ class _Range(NamedTuple):
     """One byte range parsed, line numbers counted from its first line."""
 
     vectors: dict[str, np.ndarray]  # the kept words, first occurrence
-    dim: int | None  # None: the range has no entry line
+    first: tuple[int, int] | None  # the first entry line and its value count
     error: tuple[int, str] | None  # the first malformed line and its reason
     non_finite: int | None  # the first line with a non-finite value
     n_lines: int
 
 
-def _parse_range(path, start: int, end: int | None, vocab, dim: int | None) -> _Range:
+def _parse_range(path, start: int, end: int | None, vocab) -> _Range:
     """Parse the lines in bytes [start, end) of a vectors file, each against
-    dim values (None: the range's first entry line sets it). A malformed
-    line ends the range and is returned as data, not raised."""
+    the value count of the range's first entry line. A malformed line ends
+    the range and is returned as data, not raised."""
     vectors: dict[str, np.ndarray] = {}
-    width = error = first_non_finite = None
+    first = error = first_non_finite = None
     n_lines = 0
 
     def lines():
@@ -333,8 +306,9 @@ def _parse_range(path, start: int, end: int | None, vocab, dim: int | None) -> _
 
     try:
         for line_nos, words, rests in _entry_blocks(lines()):
-            rows = _parse_block(line_nos, rests, dim)
-            dim = width = rows.shape[1]
+            if first is None:
+                first = line_nos[0], len(rests[0].split())
+            rows = _parse_block(line_nos, rests, first[1])
             if first_non_finite is None:
                 finite = np.isfinite(rows).all(axis=1)
                 if not finite.all():
@@ -344,7 +318,7 @@ def _parse_range(path, start: int, end: int | None, vocab, dim: int | None) -> _
                     vectors[word] = row.copy()  # a copy, so the block is freed
     except _BadLine as exc:
         error = exc.args
-    return _Range(vectors, width, error, first_non_finite, n_lines)
+    return _Range(vectors, first, error, first_non_finite, n_lines)
 
 
 def _entry_blocks(lines):
@@ -376,22 +350,19 @@ def _entry_blocks(lines):
         yield line_nos, words, rests
 
 
-def _parse_block(line_nos, rests, dim: int | None) -> np.ndarray:
-    """The block's values as a len(rests) x dim array; dim None takes the
-    first line's width."""
+def _parse_block(line_nos, rests, dim: int) -> np.ndarray:
+    """The block's values as a len(rests) x dim array."""
     try:
         rows = np.loadtxt(rests, comments=None, ndmin=2)
     except ValueError:
         pass
     else:
-        if rows.shape == (len(rests), rows.shape[1] if dim is None else dim):
+        if rows.shape == (len(rests), dim):
             return rows
     out = []
     for line_no, rest in zip(line_nos, rests):
         values = rest.split()
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
+        if len(values) != dim:
             raise _BadLine(line_no, f"expected {dim} values, found {len(values)}")
         try:
             out.append([float(v) for v in values])

@@ -238,37 +238,26 @@ def load_task(manifest_path: str) -> TaskDataset:
 def read_parses(path: str, texts) -> tuple[ParseTree, ...]:
     """The parses in path, one per text in order; a wrong parse count or
     leaf count names path:line, blank lines counted."""
-    parses = tuple(read_tree_file(path))
-    if len(parses) != len(texts):
-        lines = _parse_lines(path)
-        if len(parses) > len(texts):
-            line_no = lines[len(texts)]  # the first parse without a text
+    numbered = read_tree_file(path)
+    if len(numbered) != len(texts):
+        if len(numbered) > len(texts):
+            line_no = numbered[len(texts)][0]  # the first parse without a text
         else:
-            line_no = lines[-1] + 1 if lines else 1  # where the next parse belongs
+            line_no = numbered[-1][0] + 1 if numbered else 1  # where the next parse belongs
         raise TaskFormatError(
-            f"{path}:{line_no}: {len(parses)} parses for {len(texts)} texts; "
+            f"{path}:{line_no}: {len(numbered)} parses for {len(texts)} texts; "
             "need one parse per text"
         )
-    _check_leaf_counts(path, parses, texts)
-    return parses
-
-
-def _parse_lines(path: str) -> list[int]:
-    """The line number of each parse read_tree_file returns."""
-    with open(path, encoding="utf-8") as fh:
-        return [n for n, line in enumerate(fh, start=1) if line.strip()]
-
-
-def _check_leaf_counts(path: str, parses, texts) -> None:
-    """Every parse needs one leaf per whitespace token of its text: the tree
-    path encodes that many tokens (lowercasing and cleanup keep the count)."""
-    for index, (tree, text) in enumerate(zip(parses, texts)):
+    for (line_no, tree), text in zip(numbered, texts):
+        # the tree path encodes one leaf per whitespace token of the text
+        # (lowercasing and cleanup keep the count)
         n_leaves, n_tokens = tree.leaf_count, len(text.split())
         if n_leaves != n_tokens:
             raise TaskFormatError(
-                f"{path}:{_parse_lines(path)[index]}: tree has {n_leaves} leaves "
+                f"{path}:{line_no}: tree has {n_leaves} leaves "
                 f"but the text has {n_tokens} tokens"
             )
+    return tuple(tree for _line_no, tree in numbered)
 
 
 def _first_appearance(labels) -> tuple[str, ...]:

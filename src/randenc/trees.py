@@ -47,10 +47,12 @@ TREE_GATE_ORDER = ("i", "f_l", "f_r", "o", "u")
 
 
 class TreeParseError(ValueError):
-    """Malformed bracketed parse; offset is a byte position in the input."""
+    """Malformed bracketed parse; offset is a byte position in the input and
+    reason the message without it."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, reason: str, offset: int):
+        super().__init__(f"{reason} (byte offset {offset})")
+        self.reason = reason
         self.offset = offset
 
 
@@ -154,8 +156,9 @@ def format_bracketed(tree: ParseTree) -> str:
     return done[0]
 
 
-def read_tree_file(path: str) -> list[ParseTree]:
-    """One bracketed parse per non-blank line, in file order."""
+def read_tree_file(path: str) -> list[tuple[int, ParseTree]]:
+    """(line number, parse) for each non-blank line, one bracketed parse a
+    line, in file order."""
     trees = []
     for line_no, line in read_lines(path, lambda line_no, offset, reason: TreeParseError(
         f"{path}:{line_no}: {reason}", offset
@@ -163,9 +166,9 @@ def read_tree_file(path: str) -> list[ParseTree]:
         if not line.strip():
             continue
         try:
-            trees.append(parse_bracketed(line.strip()))
+            trees.append((line_no, parse_bracketed(line.strip())))
         except TreeParseError as exc:
-            raise TreeParseError(f"{path}:{line_no}: {exc.args[0]}", exc.offset) from None
+            raise TreeParseError(f"{path}:{line_no}: {exc.reason}", exc.offset) from None
     return trees
 
 

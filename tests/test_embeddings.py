@@ -110,7 +110,7 @@ def reference_load(path) -> WordEmbeddingTable:
     """The loader's rules applied one line at a time with float(): the
     specification the block loader must match bit for bit."""
     vectors, dim, first_non_finite = {}, None, None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -286,22 +286,25 @@ RANGE_CASES = {
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-@pytest.mark.parametrize("case, n_ranges", [
-    (case, n_ranges) for case, (fewest, _edits) in RANGE_CASES.items()
+@pytest.mark.parametrize("case, n_ranges, bom", [
+    pytest.param(case, n_ranges, bom, id=f"{case}-{n_ranges}" + ("-bom" if bom else ""))
+    for case, (fewest, _edits) in RANGE_CASES.items()
     for n_ranges in range(fewest, 5)
+    for bom in (b"", b"\xef\xbb\xbf")
 ])
-def test_ranged_loader_at_range_boundaries(tmp_path, case, n_ranges, newline):
+def test_ranged_loader_at_range_boundaries(tmp_path, case, n_ranges, newline, bom):
     edits = RANGE_CASES[case][1]
     lines = [f"w{i:02d} {i}.5 -{i}.25" for i in range(RANGED_LINES)]
     for line_no, text in edits(range_firsts(n_ranges)).items():
         lines[line_no] = text
-    # every line padded to one width, so the cuts fall where range_firsts says
+    # every line padded to one width, so the cuts fall where range_firsts
+    # says, each after the byte-order mark, if any
     path = tmp_path / "vec.txt"
-    path.write_bytes("".join(line.ljust(RANGED_WIDTH) + newline for line in lines).encode())
+    path.write_bytes(bom + "".join(line.ljust(RANGED_WIDTH) + newline for line in lines).encode())
     size = path.stat().st_size
     line_bytes = RANGED_WIDTH + len(newline)
     assert embeddings._range_starts(str(path), size, n_ranges) == [
-        first * line_bytes for first in range_firsts(n_ranges)
+        len(bom) + first * line_bytes if first else 0 for first in range_firsts(n_ranges)
     ]
     with split_into(n_ranges):
         assert_loads_like_reference(str(path), {"w00", "w11", "w12", "w23", "dup", "short"})

@@ -78,6 +78,27 @@ def test_imports_only_numpy_and_the_standard_library():
     assert outside == []
 
 
+def test_small_vector_load_imports_no_process_pool(tmp_path):
+    # only a file big enough to be cut into ranges starts worker processes;
+    # importing the pool on every load would add its memory to every run
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("the 1 0\ncat 0 1\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "import randenc, randenc.cli, randenc.runner\n"
+        "from randenc.embeddings import load_embeddings\n"
+        f"assert len(load_embeddings({str(vectors)!r})) == 2\n"
+        "print([m for m in sys.modules\n"
+        "       if m.startswith(('multiprocessing', 'concurrent.futures'))])\n"
+    )
+    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 def test_desk_sweep_quick_start_runs(tmp_path):
     # the README quick start, shrunk to about a second
     work = tmp_path / "desk"

@@ -12,6 +12,7 @@ from randenc.tasks import (
     make_synthetic_embeddings,
     make_synthetic_order_task,
     order_label,
+    read_parses,
     synthetic_vocabulary,
     write_task_files,
 )
@@ -254,6 +255,19 @@ def test_tree_leaf_count_mismatch_names_trees_file_line(tmp_path):
     with pytest.raises(TaskFormatError) as err:
         load_task(manifest)
     assert str(err.value) == f"{trees}:4: tree has 4 leaves but the text has 3 tokens"
+
+
+@pytest.mark.parametrize("texts, message", [
+    (["a", "b c"], "tree has 3 leaves but the text has 2 tokens"),
+    (["a"], "2 parses for 1 texts; need one parse per text"),
+])
+def test_parse_errors_count_lines_after_a_byte_order_mark(tmp_path, texts, message):
+    # line 1 is only the mark: a blank line, so the second parse is on line 3
+    trees = tmp_path / "trees.txt"
+    trees.write_bytes(b"\xef\xbb\xbf\n(W a)\n(S (W b) (W c) (W d))\n")
+    with pytest.raises(TaskFormatError) as err:
+        read_parses(str(trees), texts)
+    assert str(err.value) == f"{trees}:3: {message}"
 
 
 def test_trees2_leaf_count_mismatch_rejected(tmp_path):

@@ -90,7 +90,7 @@ def test_read_tree_file(tmp_path):
     p = tmp_path / "trees.txt"
     p.write_text("(S (A a) (B b))\n\n(S (A x) (B y) (C z))\n")
     trees = read_tree_file(str(p))
-    assert [t.leaf_tokens() for t in trees] == [["a", "b"], ["x", "y", "z"]]
+    assert [(n, t.leaf_tokens()) for n, t in trees] == [(1, ["a", "b"]), (3, ["x", "y", "z"])]
 
 
 def test_read_tree_file_reports_line(tmp_path):
@@ -98,7 +98,8 @@ def test_read_tree_file_reports_line(tmp_path):
     p.write_text("(S (A a) (B b))\n(S (A a)\n")
     with pytest.raises(TreeParseError) as err:
         read_tree_file(str(p))
-    assert ":2:" in str(err.value)
+    assert str(err.value) == f"{p}:2: unclosed '(' (byte offset 0)"
+    assert (err.value.reason, err.value.offset) == (f"{p}:2: unclosed '('", 0)
 
 
 @given(st.integers(1, 12), st.integers(0, 10_000))
