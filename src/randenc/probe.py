@@ -5,9 +5,13 @@ Probe = multinomial logistic regression (default) or a one-hidden-layer
 tanh MLP, trained by full-batch gradient descent with Armijo backtracking
 line search. l2 strength is picked from a fixed grid on validation
 accuracy (ties go to the smaller value) with early stopping on the same
-validation signal. The grid's l2 values train together in lockstep: each
-round is one loss_and_grad call over the stacked params of every value
-still training, and each value keeps its own step, checks and stop.
+validation signal. The grid's l2 values train together in lockstep as
+"lanes": each round is one loss_and_grad call over the stacked params of
+every lane still training, and each lane keeps its own step, checks and
+stop. A round's line-search trials compute their loss; only the lanes
+whose trial passes the Armijo test go on to compute a gradient. A cv task
+trains every (fold, l2) pair as one lane over the task's shared features,
+each lane with its own 0/1 masks of training and dev rows.
 Everything is deterministic given the config seed.
 """
 
@@ -158,15 +162,23 @@ def _forward(params, x_t: np.ndarray, kind: str, n_lanes: int = 1):
     return logits, hidden
 
 
-def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None):
+def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None, *,
+                  rows=None, bound=None, one_hot=None):
     """Mean cross-entropy + (l2/2) * sum of squared weight-matrix entries
     (biases unpenalized). Returns (loss, [grad per param]).
 
     A scalar l2 takes one probe's params and returns a float loss. A 1-d l2
     takes len(l2) probes ("lanes") stacked along each param's first axis,
     lane i owning the i-th equal block of rows, and returns one loss per
-    lane and the gradients stacked alike. x_t is x.T as a contiguous array,
-    for a caller that makes it once for many calls.
+    lane and the gradients stacked alike. x_t is x.T as a contiguous array
+    and one_hot is `y == arange(C)[:, None]`, for a caller that makes them
+    once for many calls.
+
+    rows (lanes x n, 0/1) gives each lane its own training rows of x: its
+    loss is the mean over those rows, and its gradient sums only them.
+    bound (one per lane) asks for the gradients of only the lanes whose
+    loss is at most their bound, stacked over those lanes alone; the other
+    lanes compute nothing past their loss.
 
     One max-shifted exp serves both: log p(y) = shifted[y] - log(sum), and
     the logit gradient is (softmax - one_hot(y)) / n."""
@@ -177,25 +189,58 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None)
     shifted -= shifted.max(axis=1, keepdims=True)
     delta = np.exp(shifted)
     total = delta.sum(axis=1)
-    # a one-hot mask picks and subtracts: its zero terms are exact
-    one_hot = y == np.arange(shifted.shape[1])[:, None]
-    loss = (np.log(total) - (shifted * one_hot).sum(axis=1)).sum(axis=1) / n
-    delta /= total[:, None, :]
-    delta -= one_hot
-    delta /= n
+    if one_hot is None:
+        # a one-hot mask picks and subtracts: its zero terms are exact
+        one_hot = y == np.arange(shifted.shape[1])[:, None]
+    row_loss = np.log(total) - (shifted * one_hot).sum(axis=1)
+    if rows is None:
+        loss = row_loss.sum(axis=1) / n
+    else:
+        counts = rows.sum(axis=1)
+        loss = (row_loss * rows).sum(axis=1) / counts
     weights = [params[0]] if kind == "logreg" else [params[0], params[2]]
     lane_weights = [w.reshape(n_lanes, -1) for w in weights]
     loss += 0.5 * lane_l2 * sum((w * w).sum(axis=1) for w in lane_weights)
-    decay = [(lane_l2[:, None] * w).reshape(full.shape) for w, full in zip(lane_weights, weights)]
-    if kind == "logreg":
-        grads = [delta.reshape(-1, n) @ x + decay[0], delta.sum(axis=2).ravel()]
+    w2_lanes = None if hidden is None else params[2].reshape(n_lanes, -1, hidden.shape[1])
+    if bound is not None:
+        pick = np.flatnonzero(loss <= bound)
+        lane_l2, delta, total = lane_l2[pick], delta[pick], total[pick]
+        if rows is not None:
+            rows, counts = rows[pick], counts[pick]
+        if hidden is not None:
+            hidden, w2_lanes = hidden[pick], w2_lanes[pick]
+    delta /= total[:, None, :]
+    delta -= one_hot
+    if rows is None:
+        delta /= n
     else:
-        w2_lanes = params[2].reshape(n_lanes, -1, hidden.shape[1])
-        grad_w2 = (delta @ hidden.transpose(0, 2, 1)).reshape(params[2].shape) + decay[1]
+        delta *= (rows / counts[:, None])[:, None, :]
+
+    # at paper widths each lanes-stacked temporary takes tens of megabytes:
+    # weight decay is made in one and added in place, 1 - hidden**2
+    # overwrites hidden, and the mlp's activations are dropped before its
+    # weight decay is made
+    def decayed(grad, lane_w):
+        if bound is None:
+            decay = lane_l2[:, None] * lane_w
+        else:
+            decay = lane_w[pick]
+            decay *= lane_l2[:, None]
+        grad += decay.reshape(grad.shape)
+        return grad
+
+    if kind == "logreg":
+        grads = [decayed(delta.reshape(-1, n) @ x, lane_weights[0]), delta.sum(axis=2).ravel()]
+    else:
+        grad_w2 = (delta @ hidden.transpose(0, 2, 1)).reshape(-1, hidden.shape[1])
+        grad_w2 = decayed(grad_w2, lane_weights[1])
         back = w2_lanes.transpose(0, 2, 1) @ delta
-        back *= 1.0 - hidden * hidden
-        grad_w1 = back.reshape(-1, n) @ x + decay[0]
-        grads = [grad_w1, back.sum(axis=2).ravel(), grad_w2, delta.sum(axis=2).ravel()]
+        hidden *= hidden
+        back *= np.subtract(1.0, hidden, out=hidden)
+        grad_b1 = back.sum(axis=2).ravel()
+        grad_w1 = back.reshape(-1, n) @ x
+        del hidden, back
+        grads = [decayed(grad_w1, lane_weights[0]), grad_b1, grad_w2, delta.sum(axis=2).ravel()]
     if np.ndim(l2) == 0:
         return float(loss[0]), grads
     return loss, grads
@@ -230,7 +275,7 @@ def _flat(lanes) -> list[np.ndarray]:
 
 @dataclass(slots=True)
 class _Lane:
-    """The scalar state of one l2 value in the lockstep loop; its params and
+    """The scalar state of one lane of the lockstep loop; its params and
     gradient are rows of the loop's stacked arrays."""
 
     l2: float
@@ -247,18 +292,23 @@ class _Lane:
     def epochs(self) -> int:
         return len(self.history) - 1
 
-    def take(self, trial_loss: float, trial_g_sq: float) -> bool:
-        """Armijo test of the trial made at this lane's step. An accepted
-        trial becomes the lane's point and doubles the step; a rejected one
-        halves it, and a step below _MIN_STEP stops the lane."""
-        if trial_loss <= self.loss - _ARMIJO_C * self.step * self.g_sq:
-            self.loss, self.g_sq = trial_loss, trial_g_sq
+    @property
+    def bound(self) -> float:
+        """The Armijo test: the loss a trial at this lane's step must not
+        exceed."""
+        return self.loss - _ARMIJO_C * self.step * self.g_sq
+
+    def take(self, accepted: bool, trial_loss: float) -> None:
+        """An accepted trial becomes the lane's point (its g_sq is set once
+        its gradient is made) and doubles the step; a rejected one halves
+        it, and a step below _MIN_STEP stops the lane."""
+        if accepted:
+            self.loss = trial_loss
             self.history.append(trial_loss)
             self.step *= 2.0
-            return True
+            return
         self.step *= 0.5
         self.stopped = self.step < _MIN_STEP
-        return False
 
     def check(self, acc: float, params, patience: int) -> None:
         """A validation check: a better accuracy snapshots params, and
@@ -272,21 +322,31 @@ class _Lane:
             self.stopped = self.strikes >= patience
 
 
-def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: int, l2s):
-    """Train one probe per l2 value in lockstep; returns fit's 4-tuple per
-    value, in order.
+def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: int, l2s,
+               rows=None):
+    """Train one probe per lane, lane i at l2 value l2s[i], in lockstep;
+    returns fit's 4-tuple per lane, in order.
+
+    rows, if given, is a pair (train, dev) of 0/1 arrays, lanes x examples:
+    lane i trains on the rows of x_train that train[i] marks and validates
+    on the rows of x_dev that dev[i] marks (kfold_accuracy passes the whole
+    task as both). Without rows every lane trains on all of x_train and
+    validates on all of x_dev.
 
     Each round makes one loss_and_grad call over the stacked trial params of
-    every lane still running. A lane follows fit's rules on its own: its
-    step and Armijo test, its validation checks, best-dev snapshot and
-    patience, and its stop (patience, max_epochs, a step below _MIN_STEP or
-    a zero gradient), after which it leaves the stack."""
+    every lane still running; it computes the gradient of only the lanes
+    whose trial passes the Armijo test. A lane follows fit's rules on its
+    own: its step and Armijo test, its validation checks, best-dev snapshot
+    and patience, and its stop (patience, max_epochs, a step below
+    _MIN_STEP or a zero gradient), after which it leaves the stack."""
     # the one-hot mask in loss_and_grad would pass an out-of-range label silently
     y_train = _check_labels(y_train, n_classes, "training")
     kind = config.kind
     one = init_params(kind, x_train.shape[1], n_classes, config.hidden, config.seed)
     x_t = np.ascontiguousarray(x_train.T)
-    x_dev_t = np.ascontiguousarray(x_dev.T)
+    x_dev_t = x_t if x_dev is x_train else np.ascontiguousarray(x_dev.T)
+    one_hot = y_train == np.arange(n_classes)[:, None]
+    train_rows, dev_rows = (None, None) if rows is None else rows
 
     def split(flat_grads, count):
         return [g.reshape((count,) + p.shape) for g, p in zip(flat_grads, one)]
@@ -294,19 +354,23 @@ def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: i
     def sq_norms(grads):
         return sum((g.reshape(g.shape[0], -1) ** 2).sum(axis=1) for g in grads).tolist()
 
-    def dev_accuracy(lanes):
+    def dev_accuracy(lanes, dev):
         logits, _ = _forward(_flat(lanes), x_dev_t, kind, lanes[0].shape[0])
-        return (logits.argmax(axis=1) == y_dev).mean(axis=1).tolist()
+        hits = logits.argmax(axis=1) == y_dev
+        if dev is None:
+            return hits.mean(axis=1)
+        return (hits * dev).sum(axis=1) / dev.sum(axis=1)
 
     params = [np.repeat(p[None], len(l2s), axis=0) for p in one]
     loss, flat_grads = loss_and_grad(
-        _flat(params), x_train, y_train, np.asarray(l2s, dtype=np.float64), kind, x_t)
+        _flat(params), x_train, y_train, np.asarray(l2s, dtype=np.float64), kind, x_t,
+        rows=train_rows, one_hot=one_hot)
     grads = split(flat_grads, len(l2s))
-    (start_acc,) = dev_accuracy([p[:1] for p in params])  # every lane starts at `one`
+    # every lane starts at `one`
+    start_acc = np.broadcast_to(dev_accuracy([p[:1] for p in params], dev_rows), len(l2s))
     lanes = [
-        _Lane(l2, value, g_sq, start_acc, [p.copy() for p in one], [value],
-              stopped=g_sq == 0.0)
-        for l2, value, g_sq in zip(l2s, loss.tolist(), sq_norms(grads))
+        _Lane(l2, value, g_sq, acc, [p.copy() for p in one], [value], stopped=g_sq == 0.0)
+        for l2, value, g_sq, acc in zip(l2s, loss.tolist(), sq_norms(grads), start_acc.tolist())
     ]
     running = lanes
     while True:
@@ -315,29 +379,40 @@ def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: i
             running = [running[slot] for slot in keep]
             params = [p[keep] for p in params]
             grads = [g[keep] for g in grads]
+            if rows is not None:
+                train_rows, dev_rows = train_rows[keep], dev_rows[keep]
         if not running:
             break
         step = np.array([lane.step for lane in running])
-        trial = [p - _per_lane(step, g) * g for p, g in zip(params, grads)]
+        trial = [_per_lane(step, g) * g for g in grads]
+        for p, t in zip(params, trial):
+            np.subtract(p, t, out=t)
+        bound = np.array([lane.bound for lane in running])
         trial_loss, flat_grads = loss_and_grad(
-            _flat(trial), x_train, y_train, np.array([lane.l2 for lane in running]), kind, x_t)
-        trial_grads = split(flat_grads, len(running))
-        accept = np.array([
-            lane.take(value, g_sq)
-            for lane, value, g_sq in zip(running, trial_loss.tolist(), sq_norms(trial_grads))
-        ])
-        if not accept.any():
-            continue
-        params = [np.where(_per_lane(accept, p), t, p) for p, t in zip(params, trial)]
-        grads = [np.where(_per_lane(accept, g), t, g) for g, t in zip(grads, trial_grads)]
+            _flat(trial), x_train, y_train, np.array([lane.l2 for lane in running]), kind, x_t,
+            rows=train_rows, bound=bound, one_hot=one_hot)
+        accept = trial_loss <= bound
+        for lane, accepted, value in zip(running, accept.tolist(), trial_loss.tolist()):
+            lane.take(accepted, value)
         accepted = np.flatnonzero(accept).tolist()
+        if not accepted:
+            continue
+        trial_grads = split(flat_grads, len(accepted))
+        for slot, g_sq in zip(accepted, sq_norms(trial_grads)):
+            running[slot].g_sq = g_sq
+        for p, t in zip(params, trial):
+            np.copyto(p, t, where=_per_lane(accept, p))
+        for g, t in zip(grads, trial_grads):
+            g[accepted] = t
         checked = [
             slot for slot in accepted
             if running[slot].epochs % config.eval_interval == 0
             or running[slot].epochs == config.max_epochs
         ]
         if checked:
-            for slot, acc in zip(checked, dev_accuracy([p[checked] for p in params])):
+            dev = None if dev_rows is None else dev_rows[checked]
+            accs = dev_accuracy([p[checked] for p in params], dev).tolist()
+            for slot, acc in zip(checked, accs):
                 running[slot].check(acc, [p[slot] for p in params], config.patience)
         for slot in accepted:
             lane = running[slot]
@@ -388,16 +463,22 @@ def _check_labels(y: np.ndarray, n_classes: int, which: str) -> np.ndarray:
 
 
 def _fit_l2_grid(x_tr, y_tr, x_dev, y_dev, config: ProbeConfig, n_classes: int):
-    """Grid over l2 on validation accuracy; ties keep the smaller l2
-    (grid is scanned in ascending order with a strict > comparison)."""
+    """Grid over l2 on validation accuracy; ties keep the smaller l2."""
     grid = sorted(config.l2_grid)
-    best = None
     lanes = _fit_lanes(x_tr, y_tr, x_dev, y_dev, config, n_classes, grid)
+    return _pick_l2(grid, lanes, config.kind)
+
+
+def _pick_l2(grid, lanes, kind: str):
+    """The model and report of the best dev accuracy among one grid's lanes;
+    ties keep the smaller l2 (grid is scanned in ascending order with a
+    strict > comparison)."""
+    best = None
     for l2, (params, acc, epochs, history) in zip(grid, lanes):
         if best is None or acc > best[1]:
             best = (params, acc, epochs, history, l2)
     params, acc, epochs, history, l2 = best
-    model = ProbeModel(config.kind, l2, tuple(p.copy() for p in params))
+    model = ProbeModel(kind, l2, tuple(p.copy() for p in params))
     report = TrainReport(epochs, acc, l2, loss_history=history)
     return model, report
 
@@ -479,20 +560,22 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def _inner_dev_split(y_train: np.ndarray, seed: int):
     """Carve a stratified ~10% dev set out of a training fold for l2
-    selection and early stopping. Tiny folds (any class with fewer than 5
-    examples) fall back to validating on the training points themselves."""
-    counts = {int(c): int((y_train == c).sum()) for c in np.unique(y_train)}
-    if min(counts.values()) < 5:
-        all_idx = np.arange(y_train.shape[0])
-        return all_idx, all_idx
+    selection and early stopping: every class with at least 2 training
+    examples gives max(1, count // 10) of them to dev, and a class with one
+    example keeps it in training. Only where that dev set would hold fewer
+    than 2 classes (at most one class has 2 training examples) is there
+    nothing to hold out; such a fold validates on its training examples."""
     rng = SeededRng(seed)
     dev_parts, train_parts = [], []
-    for cls in sorted(counts):
+    for cls in np.unique(y_train):
         idx = np.flatnonzero(y_train == cls)
         order = rng.permutation(idx.shape[0])
-        n_dev = max(1, idx.shape[0] // 10)
+        n_dev = max(1, idx.shape[0] // 10) if idx.shape[0] > 1 else 0
         dev_parts.append(idx[order[:n_dev]])
         train_parts.append(idx[order[n_dev:]])
+    if sum(part.size > 0 for part in dev_parts) < 2:
+        all_idx = np.arange(y_train.shape[0])
+        return all_idx, all_idx
     return np.concatenate(train_parts), np.concatenate(dev_parts)
 
 
@@ -500,24 +583,38 @@ def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: P
     """Mean held-out accuracy over deterministic stratified k folds; each
     fold picks its l2 on an inner dev split of its training examples.
 
+    Every (fold, l2) pair is one lane of a single lockstep loop over the
+    task's features, with 0/1 masks marking the fold's inner training and
+    dev rows; its probe equals `fit` on those rows gathered, up to the order
+    in which the masked sums add up. Each fold then picks its l2 as a tv
+    task does and scores its test rows.
+
     Every fold's probe has the task's classes, so a class that a fold's
     training examples lack is one its probe never predicts, not an error."""
     x, y = _check_examples(embeddings, labels)
     n_classes = _n_train_classes(y)
     _check_labels(y, n_classes, "task")
     assignment = stratified_folds(y, k, config.seed)
-    accuracies = []
+    tests, masks = [], []
     for fold in range(k):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
         if test_idx.size == 0:
             continue
-        y_tr = y[train_idx]
-        _n_train_classes(y_tr)
-        sub_tr, sub_dev = _inner_dev_split(y_tr, config.seed + fold + 1)
-        model, _report = _fit_l2_grid(
-            x[train_idx[sub_tr]], y_tr[sub_tr], x[train_idx[sub_dev]], y_tr[sub_dev],
-            config, n_classes,
-        )
+        _n_train_classes(y[train_idx])
+        sub_tr, sub_dev = _inner_dev_split(y[train_idx], config.seed + fold + 1)
+        mask = np.zeros((2, y.shape[0]))
+        mask[0, train_idx[sub_tr]] = 1.0
+        mask[1, train_idx[sub_dev]] = 1.0
+        tests.append(test_idx)
+        masks.append(mask)
+    grid = sorted(config.l2_grid)
+    # lanes fold by fold, each fold's grid in ascending order
+    train_rows, dev_rows = np.repeat(np.stack(masks, axis=1), len(grid), axis=1)
+    lanes = _fit_lanes(x, y, x, y, config, n_classes, grid * len(tests),
+                       rows=(train_rows, dev_rows))
+    accuracies = []
+    for i, test_idx in enumerate(tests):
+        model, _report = _pick_l2(grid, lanes[i * len(grid):(i + 1) * len(grid)], config.kind)
         accuracies.append(evaluate(model, x[test_idx], y[test_idx]))
     return float(np.mean(accuracies))

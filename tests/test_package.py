@@ -8,12 +8,14 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import randenc
 from randenc import selfcheck
 from randenc.cli import main
 from randenc.encoders import ENCODER_KINDS
+from randenc.probe import ProbeConfig, SplitPlan
 from randenc.runner import RESULTS_HEADER, ExperimentConfig
 from randenc.tasks import load_task, make_synthetic_order_task, write_task_files
 
@@ -154,7 +156,19 @@ def test_perfbench_tracer_installs(monkeypatch, tmp_path):
         randenc.encoders.build_encoder("esn", 1, 4, 16, sparsity=0.5)
         # the parses are read through the name the tracer wraps on tasks
         load_task(manifest)
+        # the tracer counts flops from loss_and_grad's params, x and kind
+        # (args 0, 1 and 4), through the names the runner probes by
+        x = np.vstack([np.eye(3), -np.eye(3)]).repeat(4, axis=0)
+        y = np.arange(24) // 12
+        config = ProbeConfig(max_epochs=20)
+        plan = SplitPlan(kind="tv", train=tuple(range(0, 24, 2)), dev=tuple(range(1, 24, 4)),
+                         test=tuple(range(3, 24, 4)))
+        randenc.runner.train_probe(x, y, plan, config)
+        randenc.runner.kfold_accuracy(x, y, 3, config)
     assert randenc.probe.loss_and_grad is original
     assert "numerics.spectral_radius" in tracer.totals()
     assert "trees.read_tree_file" in tracer.totals()
     assert tracer.counts["numerics.power_iterations"] == 0
+    totals = tracer.totals()
+    assert {"probe.train_probe", "probe.kfold_accuracy", "probe.loss_and_grad"} <= set(totals)
+    assert tracer.metrics()["probe.flop_computed"] > 0

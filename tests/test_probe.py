@@ -347,6 +347,89 @@ def test_lane_stopped_by_zero_gradient_leaves_others_unaffected(nprng):
     assert [lane[2] for lane in lanes] == [0, 40]
 
 
+# ---------------------------------------------------------------------------
+# lanes with their own training and dev rows of one shared x (cv folds)
+# ---------------------------------------------------------------------------
+
+
+def masked_lanes(x, y, folds, config, n_classes):
+    """_fit_lanes over every (fold, l2) pair, a fold being a pair (training
+    rows, dev rows) of x; returns the lanes fold by fold, grid ascending."""
+    grid = sorted(config.l2_grid)
+    masks = np.zeros((2, len(folds) * len(grid), x.shape[0]))
+    for i, rows in enumerate(folds):
+        for which, idx in enumerate(rows):
+            masks[which, i * len(grid):(i + 1) * len(grid), idx] = 1.0
+    return probe._fit_lanes(x, y, x, y, config, n_classes, grid * len(folds),
+                            rows=(masks[0], masks[1]))
+
+
+def check_masked_lanes_match_fit(x, y, folds, config, n_classes):
+    """Every masked lane is fit alone, and the plain reference loop, on its
+    fold's gathered rows; returns the lanes."""
+    grid = sorted(config.l2_grid)
+    lanes = masked_lanes(x, y, folds, config, n_classes)
+    for i, (train, dev) in enumerate(folds):
+        gathered = (x[train], y[train], x[dev], y[dev], config, n_classes)
+        for l2, lane in zip(grid, lanes[i * len(grid):(i + 1) * len(grid)]):
+            assert_same_fit(lane, fit(*gathered, l2))
+            assert_same_fit(lane, reference_fit(*gathered, l2))
+    return lanes
+
+
+def uneven_folds(n, seed):
+    """Three folds of unequal sizes over n rows, each with disjoint training
+    and dev rows in shuffled order; some rows are in neither."""
+    order = np.random.default_rng(seed).permutation(n)
+    return [(np.sort(order[:30]), order[30:39]),
+            (order[5:26], np.sort(order[40:45])),
+            (order[10:45], order[:6])]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_masked_lanes_match_fit_on_gathered_rows(kind, seed):
+    x, y, _, _ = lane_problem(seed)
+    config = ProbeConfig(kind=kind, hidden=7, max_epochs=150, patience=3, eval_interval=5,
+                         seed=seed)
+    check_masked_lanes_match_fit(x, y, uneven_folds(45, seed), config, 3)
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_masked_lane_stopped_early_leaves_others_unaffected(kind):
+    x, y, _, _ = lane_problem(1)
+    # at l2=1e20 each fold's lane stops on its first trial (see the
+    # step-underflow test above) while the other lanes of its fold go on
+    config = ProbeConfig(kind=kind, hidden=6, l2_grid=(0.0, 1e-2, 1e20), max_epochs=60,
+                         patience=100, eval_interval=10)
+    lanes = check_masked_lanes_match_fit(x, y, uneven_folds(45, 2), config, 3)
+    assert [lane[2] for lane in lanes] == [60, 60, 0] * 3
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["grid", "folds"])
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_gradients_only_for_accepted_trials(kind, masked, monkeypatch):
+    # each lane computes one gradient at its start and one per accepted
+    # trial, that is per epoch; a rejected trial computes only its loss
+    made = {"losses": 0, "gradients": 0}
+
+    def counting(params, x, y, l2, kind, *args, **kwargs):
+        loss, grads = loss_and_grad(params, x, y, l2, kind, *args, **kwargs)
+        made["losses"] += np.size(loss)
+        made["gradients"] += grads[-1].shape[0] // 3  # stacked output biases
+        return loss, grads
+
+    monkeypatch.setattr(probe, "loss_and_grad", counting)
+    x, y, x_dev, y_dev = lane_problem(0)
+    config = ProbeConfig(kind=kind, hidden=5, max_epochs=80, patience=3, eval_interval=5)
+    if masked:
+        lanes = masked_lanes(x, y, uneven_folds(45, 0), config, 3)
+    else:
+        lanes = probe._fit_lanes(x, y, x_dev, y_dev, config, 3, sorted(config.l2_grid))
+    assert made["gradients"] == len(lanes) + sum(lane[2] for lane in lanes)
+    assert made["losses"] > made["gradients"]  # some trials were rejected
+
+
 @pytest.mark.parametrize("labels", [[0, 1, 2, 0, 1, 0], [0, 1, -1, 0, 1, 0]],
                          ids=["too_large", "negative"])
 def test_fit_rejects_labels_outside_its_classes(labels, nprng):
@@ -481,6 +564,67 @@ def test_kfold_fold_training_on_one_class_raises():
     x = np.arange(8.0).reshape(4, 2)
     with pytest.raises(DegenerateTaskError):
         kfold_accuracy(x, y, k=2, config=ProbeConfig(max_epochs=10))
+
+
+def reference_kfold_accuracy(x, y, k, config):
+    """kfold_accuracy as a loop over folds: each fold's inner training and
+    dev rows gathered into copies and its l2 grid trained on them alone."""
+    n_classes = int(y.max()) + 1
+    assignment = stratified_folds(y, k, config.seed)
+    accuracies = []
+    for fold in range(k):
+        test_idx = np.flatnonzero(assignment == fold)
+        train_idx = np.flatnonzero(assignment != fold)
+        if test_idx.size == 0:
+            continue
+        y_tr = y[train_idx]
+        sub_tr, sub_dev = probe._inner_dev_split(y_tr, config.seed + fold + 1)
+        model, _report = probe._fit_l2_grid(
+            x[train_idx[sub_tr]], y_tr[sub_tr], x[train_idx[sub_dev]], y_tr[sub_dev],
+            config, n_classes,
+        )
+        accuracies.append(evaluate(model, x[test_idx], y[test_idx]))
+    return float(np.mean(accuracies))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_kfold_matches_per_fold_reference(kind, seed):
+    # three classes of 23, 19 and 16 examples dealt into 4 folds of unequal sizes
+    rng = np.random.default_rng(seed)
+    y = np.repeat([0, 1, 2], [23, 19, 16])[rng.permutation(58)]
+    x = rng.normal(size=(58, 5)) + 0.8 * np.eye(3, 5)[y]
+    config = ProbeConfig(kind=kind, hidden=6, max_epochs=120, patience=3, eval_interval=5,
+                         seed=seed)
+    assert len(set(np.bincount(stratified_folds(y, 4, seed)))) > 1
+    assert kfold_accuracy(x, y, 4, config) == reference_kfold_accuracy(x, y, 4, config)
+
+
+def test_inner_dev_split_holds_out_beside_a_single_example_class():
+    # 36 balanced examples and one of a third class: dev takes one of each
+    # large class, and the single example stays in training
+    y = np.array([0, 1] * 18 + [2])
+    train, dev = probe._inner_dev_split(y, seed=4)
+    assert not set(train.tolist()) & set(dev.tolist())
+    assert sorted(train.tolist() + dev.tolist()) == list(range(37))
+    assert np.bincount(y[dev], minlength=3).tolist() == [1, 1, 0]
+    assert 36 in train
+
+
+def test_inner_dev_split_gives_one_of_each_small_class_to_dev():
+    y = np.repeat([0, 1, 2, 3], [2, 3, 15, 1])
+    train, dev = probe._inner_dev_split(y, seed=1)
+    assert not set(train.tolist()) & set(dev.tolist())
+    # classes of 2, 3 and 15 examples give max(1, count // 10) each, and
+    # the single example of class 3 stays in training
+    assert np.bincount(y[dev], minlength=4).tolist() == [1, 1, 1, 0]
+
+
+def test_inner_dev_split_validates_on_training_rows_only_without_two_dev_classes():
+    # one example per class but one: a dev set would hold a single class
+    y = np.array([0, 1, 1, 2])
+    train, dev = probe._inner_dev_split(y, seed=0)
+    assert train.tolist() == dev.tolist() == [0, 1, 2, 3]
 
 
 def test_stratified_folds_balanced():
