@@ -20,6 +20,7 @@ __all__ = [
     "EmbeddingFormatError",
     "WordEmbeddingTable",
     "read_lines",
+    "read_key_values",
     "TokenSequence",
     "load_embeddings",
     "write_embeddings",
@@ -80,6 +81,33 @@ def read_lines(path, error, start: int = 0, end: int | None = None):
                 raise error(line_no, offset, f"byte 0x{byte:02x} is not UTF-8")
             if line_no > done:
                 yield line_no, line
+
+
+def read_key_values(lines, path, keys, error, what: str):
+    """The key=value lines of a settings file as ({key: value}, {key: line
+    number}), from its (line number, line) pairs as read_lines yields them.
+
+    Blank lines and lines that start with # are skipped. A line without =,
+    a key not in keys and a key given twice raise error("path:line: ..."),
+    naming the key as a `what` key.
+    """
+    entries: dict[str, str] = {}
+    line_of: dict[str, int] = {}
+    for line_no, line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise error(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise error(f"{path}:{line_no}: unknown {what} key {key!r}")
+        if key in entries:
+            raise error(f"{path}:{line_no}: duplicate {what} key {key!r}")
+        entries[key] = value.strip()
+        line_of[key] = line_no
+    return entries, line_of
 
 
 def _open_text(path, start: int, end: int | None, errors: str):

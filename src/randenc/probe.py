@@ -163,16 +163,15 @@ def _forward(params, x_t: np.ndarray, kind: str, n_lanes: int = 1):
 
 
 def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None, *,
-                  rows=None, bound=None, one_hot=None):
+                  rows=None, bound=None):
     """Mean cross-entropy + (l2/2) * sum of squared weight-matrix entries
     (biases unpenalized). Returns (loss, [grad per param]).
 
     A scalar l2 takes one probe's params and returns a float loss. A 1-d l2
     takes len(l2) probes ("lanes") stacked along each param's first axis,
     lane i owning the i-th equal block of rows, and returns one loss per
-    lane and the gradients stacked alike. x_t is x.T as a contiguous array
-    and one_hot is `y == arange(C)[:, None]`, for a caller that makes them
-    once for many calls.
+    lane and the gradients stacked alike. x_t is x.T as a contiguous array,
+    for a caller that makes it once for many calls.
 
     rows (lanes x n, 0/1) gives each lane its own training rows of x: its
     loss is the mean over those rows, and its gradient sums only them.
@@ -189,9 +188,8 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None,
     shifted -= shifted.max(axis=1, keepdims=True)
     delta = np.exp(shifted)
     total = delta.sum(axis=1)
-    if one_hot is None:
-        # a one-hot mask picks and subtracts: its zero terms are exact
-        one_hot = y == np.arange(shifted.shape[1])[:, None]
+    # a one-hot mask picks and subtracts: its zero terms are exact
+    one_hot = y == np.arange(shifted.shape[1])[:, None]
     row_loss = np.log(total) - (shifted * one_hot).sum(axis=1)
     if rows is None:
         loss = row_loss.sum(axis=1) / n
@@ -203,7 +201,7 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None,
     loss += 0.5 * lane_l2 * sum((w * w).sum(axis=1) for w in lane_weights)
     w2_lanes = None if hidden is None else params[2].reshape(n_lanes, -1, hidden.shape[1])
     if bound is not None:
-        pick = np.flatnonzero(loss <= bound)
+        pick = (loss <= bound).nonzero()[0]
         lane_l2, delta, total = lane_l2[pick], delta[pick], total[pick]
         if rows is not None:
             rows, counts = rows[pick], counts[pick]
@@ -273,55 +271,6 @@ def _flat(lanes) -> list[np.ndarray]:
     return [p.reshape((-1,) + p.shape[2:]) for p in lanes]
 
 
-@dataclass(slots=True)
-class _Lane:
-    """The scalar state of one lane of the lockstep loop; its params and
-    gradient are rows of the loop's stacked arrays."""
-
-    l2: float
-    loss: float
-    g_sq: float
-    best_acc: float
-    best_params: list
-    history: list
-    step: float = 1.0
-    strikes: int = 0
-    stopped: bool = False
-
-    @property
-    def epochs(self) -> int:
-        return len(self.history) - 1
-
-    @property
-    def bound(self) -> float:
-        """The Armijo test: the loss a trial at this lane's step must not
-        exceed."""
-        return self.loss - _ARMIJO_C * self.step * self.g_sq
-
-    def take(self, accepted: bool, trial_loss: float) -> None:
-        """An accepted trial becomes the lane's point (its g_sq is set once
-        its gradient is made) and doubles the step; a rejected one halves
-        it, and a step below _MIN_STEP stops the lane."""
-        if accepted:
-            self.loss = trial_loss
-            self.history.append(trial_loss)
-            self.step *= 2.0
-            return
-        self.step *= 0.5
-        self.stopped = self.step < _MIN_STEP
-
-    def check(self, acc: float, params, patience: int) -> None:
-        """A validation check: a better accuracy snapshots params, and
-        `patience` non-improving checks in a row stop the lane."""
-        if acc > self.best_acc:
-            self.best_acc = acc
-            self.best_params = [p.copy() for p in params]
-            self.strikes = 0
-        else:
-            self.strikes += 1
-            self.stopped = self.strikes >= patience
-
-
 def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: int, l2s,
                rows=None):
     """Train one probe per lane, lane i at l2 value l2s[i], in lockstep;
@@ -338,21 +287,26 @@ def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: i
     whose trial passes the Armijo test. A lane follows fit's rules on its
     own: its step and Armijo test, its validation checks, best-dev snapshot
     and patience, and its stop (patience, max_epochs, a step below
-    _MIN_STEP or a zero gradient), after which it leaves the stack."""
+    _MIN_STEP or a zero gradient), after which it leaves the stack.
+
+    Lane state is held in arrays along the lane axis. The running lanes'
+    params, gradients, row masks, l2, loss, squared gradient norm, step,
+    strikes and epochs are stacked by slot, `lane` maps each slot to its
+    lane, and one mask drops the lanes that stop from all of them. Best dev
+    accuracy and the best-dev snapshots are stacked by lane."""
     # the one-hot mask in loss_and_grad would pass an out-of-range label silently
     y_train = _check_labels(y_train, n_classes, "training")
     kind = config.kind
     one = init_params(kind, x_train.shape[1], n_classes, config.hidden, config.seed)
     x_t = np.ascontiguousarray(x_train.T)
     x_dev_t = x_t if x_dev is x_train else np.ascontiguousarray(x_dev.T)
-    one_hot = y_train == np.arange(n_classes)[:, None]
     train_rows, dev_rows = (None, None) if rows is None else rows
 
     def split(flat_grads, count):
         return [g.reshape((count,) + p.shape) for g, p in zip(flat_grads, one)]
 
     def sq_norms(grads):
-        return sum((g.reshape(g.shape[0], -1) ** 2).sum(axis=1) for g in grads).tolist()
+        return sum((g.reshape(g.shape[0], -1) ** 2).sum(axis=1) for g in grads)
 
     def dev_accuracy(lanes, dev):
         logits, _ = _forward(_flat(lanes), x_dev_t, kind, lanes[0].shape[0])
@@ -361,64 +315,75 @@ def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: i
             return hits.mean(axis=1)
         return (hits * dev).sum(axis=1) / dev.sum(axis=1)
 
-    params = [np.repeat(p[None], len(l2s), axis=0) for p in one]
-    loss, flat_grads = loss_and_grad(
-        _flat(params), x_train, y_train, np.asarray(l2s, dtype=np.float64), kind, x_t,
-        rows=train_rows, one_hot=one_hot)
-    grads = split(flat_grads, len(l2s))
+    lane = np.arange(len(l2s))
+    l2 = np.asarray(l2s, dtype=np.float64)
+    params = [np.repeat(p[None], lane.size, axis=0) for p in one]
+    loss, flat_grads = loss_and_grad(_flat(params), x_train, y_train, l2, kind, x_t,
+                                     rows=train_rows)
+    grads = split(flat_grads, lane.size)
+    g_sq = sq_norms(grads)
+    step = np.ones(lane.size)
+    strikes = np.zeros(lane.size, dtype=np.int64)
     # every lane starts at `one`
-    start_acc = np.broadcast_to(dev_accuracy([p[:1] for p in params], dev_rows), len(l2s))
-    lanes = [
-        _Lane(l2, value, g_sq, acc, [p.copy() for p in one], [value], stopped=g_sq == 0.0)
-        for l2, value, g_sq, acc in zip(l2s, loss.tolist(), sq_norms(grads), start_acc.tolist())
-    ]
-    running = lanes
+    best = [p.copy() for p in params]
+    best_acc = np.broadcast_to(dev_accuracy([p[:1] for p in params], dev_rows), lane.size).copy()
+    epochs = np.zeros(lane.size, dtype=np.int64)
+    histories = [[value] for value in loss.tolist()]
+    stopped = g_sq == 0.0
     while True:
-        keep = [slot for slot, lane in enumerate(running) if not lane.stopped]
-        if len(keep) < len(running):
-            running = [running[slot] for slot in keep]
+        if stopped.any():
+            keep = ~stopped
+            lane, l2, loss, g_sq, step, strikes, epochs = (
+                a[keep] for a in (lane, l2, loss, g_sq, step, strikes, epochs))
             params = [p[keep] for p in params]
             grads = [g[keep] for g in grads]
             if rows is not None:
                 train_rows, dev_rows = train_rows[keep], dev_rows[keep]
-        if not running:
+        if not lane.size:
             break
-        step = np.array([lane.step for lane in running])
         trial = [_per_lane(step, g) * g for g in grads]
         for p, t in zip(params, trial):
             np.subtract(p, t, out=t)
-        bound = np.array([lane.bound for lane in running])
-        trial_loss, flat_grads = loss_and_grad(
-            _flat(trial), x_train, y_train, np.array([lane.l2 for lane in running]), kind, x_t,
-            rows=train_rows, bound=bound, one_hot=one_hot)
+        # the Armijo test: the loss a trial at the lane's step must not exceed
+        bound = loss - _ARMIJO_C * step * g_sq
+        trial_loss, flat_grads = loss_and_grad(_flat(trial), x_train, y_train, l2, kind, x_t,
+                                               rows=train_rows, bound=bound)
         accept = trial_loss <= bound
-        for lane, accepted, value in zip(running, accept.tolist(), trial_loss.tolist()):
-            lane.take(accepted, value)
-        accepted = np.flatnonzero(accept).tolist()
-        if not accepted:
+        # an accepted trial doubles the step and a rejected one halves it;
+        # a step below _MIN_STEP stops the lane
+        step *= np.where(accept, 2.0, 0.5)
+        stopped = step < _MIN_STEP
+        accepted = accept.nonzero()[0]
+        if not accepted.size:
             continue
-        trial_grads = split(flat_grads, len(accepted))
-        for slot, g_sq in zip(accepted, sq_norms(trial_grads)):
-            running[slot].g_sq = g_sq
+        trial_grads = split(flat_grads, accepted.size)
+        loss[accepted] = trial_loss[accepted]
+        g_sq[accepted] = sq_norms(trial_grads)
         for p, t in zip(params, trial):
             np.copyto(p, t, where=_per_lane(accept, p))
         for g, t in zip(grads, trial_grads):
             g[accepted] = t
-        checked = [
-            slot for slot in accepted
-            if running[slot].epochs % config.eval_interval == 0
-            or running[slot].epochs == config.max_epochs
-        ]
-        if checked:
-            dev = None if dev_rows is None else dev_rows[checked]
-            accs = dev_accuracy([p[checked] for p in params], dev).tolist()
-            for slot, acc in zip(checked, accs):
-                running[slot].check(acc, [p[slot] for p in params], config.patience)
-        for slot in accepted:
-            lane = running[slot]
-            if lane.epochs == config.max_epochs or lane.g_sq == 0.0:
-                lane.stopped = True
-    return [(lane.best_params, lane.best_acc, lane.epochs, tuple(lane.history)) for lane in lanes]
+        epochs += accept
+        for i, value in zip(lane[accepted].tolist(), trial_loss[accepted].tolist()):
+            histories[i].append(value)
+        # max_epochs, a zero gradient and `patience` checks in a row without a gain stop a lane
+        due = epochs[accepted]
+        last = due == config.max_epochs
+        stopped[accepted] |= last | (g_sq[accepted] == 0.0)
+        checked = accepted[(due % config.eval_interval == 0) | last]
+        if not checked.size:
+            continue
+        dev = None if dev_rows is None else dev_rows[checked]
+        acc = dev_accuracy([p[checked] for p in params], dev)
+        better = acc > best_acc[lane[checked]]
+        for slot in checked[better].tolist():
+            for b, p in zip(best, params):
+                b[lane[slot]] = p[slot]
+        best_acc[lane[checked[better]]] = acc[better]
+        strikes[checked] = np.where(better, 0, strikes[checked] + 1)
+        stopped[checked] |= strikes[checked] >= config.patience
+    return [(list(snapshot), acc, len(history) - 1, tuple(history))
+            for snapshot, acc, history in zip(zip(*best), best_acc.tolist(), histories)]
 
 
 def fit(

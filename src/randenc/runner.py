@@ -33,6 +33,7 @@ from .embeddings import (
     clean_tokens,
     embed_sentence,
     load_embeddings,
+    read_key_values,
     read_lines,
     tokenize,
 )
@@ -95,7 +96,8 @@ def _parse_value(raw: str):
 
 def parse_encoder_spec(token: str) -> EncoderSpec:
     """Parse "kind" or "kind(key=value,key=value)" into an EncoderSpec. Each
-    key must be a name the kind's builder takes, given once."""
+    key must be a name the kind's builder takes, given once, with a value of
+    the type of its default."""
     token = token.strip()
     if "(" in token:
         if not token.endswith(")"):
@@ -115,28 +117,46 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
             f"unknown encoder kind {kind!r}; expected one of {enc.ENCODER_KINDS}"
         )
     names = [key for key, _ in hyper]
-    taken = _hyperparameter_names(kind)
-    for key in names:
+    taken = _hyperparameters(kind)
+    for key, value in hyper:
         if names.count(key) > 1:
             raise ConfigError(
                 f"encoder spec {token!r}: bad hyperparameters ({key!r} is given more than once)"
             )
-        if taken is not None and key not in taken:
+        if taken is None:
+            continue
+        if key not in taken:
             expected = f"; it takes {', '.join(taken)}" if taken else ""
             raise ConfigError(
                 f"encoder spec {token!r}: bad hyperparameters ({kind} takes no {key!r}{expected})"
             )
+        if not _fits_default(value, taken[key]):
+            raise ConfigError(
+                f"encoder spec {token!r}: bad hyperparameters ({kind} {key}= takes "
+                f"{type(taken[key]).__name__} values, got {value!r})"
+            )
     return EncoderSpec(kind, tuple(hyper), token)
 
 
-def _hyperparameter_names(kind: str) -> tuple[str, ...] | None:
-    """The names kind's builder takes after seed, in_dim and out_dim, or None
-    when it takes any name (**kwargs)."""
+def _hyperparameters(kind: str) -> dict[str, object] | None:
+    """The names kind's builder takes after seed, in_dim and out_dim, with
+    their defaults, or None when it takes any name (**kwargs)."""
     params = inspect.signature(enc.KINDS[kind].build).parameters.values()
     if any(p.kind is p.VAR_KEYWORD for p in params):
         return None
-    named = [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
-    return tuple(named[3:])
+    named = [p for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    return {p.name: p.default for p in named[3:]}
+
+
+def _fits_default(value, default) -> bool:
+    """Whether a spec value has the type of the builder's default: a bool
+    for a bool, an int (not a bool) for an int, an int or a float for a
+    float, a str for a str. Ranges are the builders' to check."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 # config-file keys: the ExperimentConfig fields plus the probe's settings
@@ -201,32 +221,19 @@ class ExperimentConfig:
         """Key=value config file mirroring the dataclass fields; list values
         are comma-separated; paths resolve relative to the config file."""
         base = os.path.dirname(os.path.abspath(path))
-        entries: dict[str, str] = {}
-        line_of: dict[str, int] = {}
         lines = read_lines(path, lambda line_no, _offset, reason: ConfigError(
             f"{path}:{line_no}: {reason}"
         ))
-        for line_no, line in lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in _REMOVED_KEYS:
-                raise ConfigError(f"{path}:{line_no}: config key {key!r} was removed: "
-                                  f"{_REMOVED_KEYS[key]}")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            if key in entries:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-            entries[key] = value.strip()
-            line_of[key] = line_no
+        entries, line_of = read_key_values(lines, path, _CONFIG_KEYS | _REMOVED_KEYS.keys(),
+                                           ConfigError, "config")
 
         def where(key: str) -> str:
             return f"{path}:{line_of[key]}"
 
+        for key in entries:
+            if key in _REMOVED_KEYS:
+                raise ConfigError(f"{where(key)}: config key {key!r} was removed: "
+                                  f"{_REMOVED_KEYS[key]}")
         for key in ("embeddings", "tasks", "encoders"):
             if key not in entries:
                 raise ConfigError(f"{path}: config is missing {key}=")

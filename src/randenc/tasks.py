@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import WordEmbeddingTable, read_lines
+from .embeddings import WordEmbeddingTable, read_key_values, read_lines
 from .numerics import SeededRng
 from .probe import SplitPlan
 from .trees import ParseTree, format_bracketed, read_tree_file, right_branching_parse
@@ -108,20 +108,8 @@ class TaskDataset:
 
 
 def load_manifest(path: str) -> dict:
-    entries: dict = {}
-    for line_no, line in _read_task_lines(path, "manifest"):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise TaskFormatError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _MANIFEST_KEYS:
-            raise TaskFormatError(f"{path}:{line_no}: unknown manifest key {key!r}")
-        if key in entries:
-            raise TaskFormatError(f"{path}:{line_no}: duplicate manifest key {key!r}")
-        entries[key] = value.strip()
+    entries, _ = read_key_values(_read_task_lines(path, "manifest"), path, _MANIFEST_KEYS,
+                                 TaskFormatError, "manifest")
     return entries
 
 
@@ -173,7 +161,7 @@ def load_task(manifest_path: str) -> TaskDataset:
         if "split" not in entries:
             raise TaskFormatError(f"{manifest_path}: data= requires split=cv<k>")
         split = entries["split"]
-        if not split.startswith("cv") or not split[2:].isdigit():
+        if not split.startswith("cv") or not split[2:].isdecimal():
             raise TaskFormatError(f"{manifest_path}: split= must look like cv10, got {split!r}")
         k = int(split[2:])
         if k < 2:

@@ -192,7 +192,8 @@ def test_encode_checkpoint_without_asked_hyperparameter_leaves_output_untouched(
     assert not (tmp_path / "out.txt").exists()
 
 
-@pytest.mark.parametrize("spec", ["cnn(windw=2)", "cnn(window=2,window=3)"])
+@pytest.mark.parametrize("spec", ["cnn(windw=2)", "cnn(window=2,window=3)", "cnn(window=abc)",
+                                  "esn(rho=high)", "cnn(window=2))"])
 def test_encode_rejects_bad_spec_before_reading(tmp_path, capsys, spec):
     args = encode_args(tmp_path, "cnn")
     args[args.index("--encoder") + 1] = spec

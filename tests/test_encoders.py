@@ -30,7 +30,6 @@ from randenc.encoders import (
     reservoir_states,
 )
 from randenc.numerics import SeededRng, uniform_init
-from randenc.runner import parse_encoder_spec
 from randenc.trees import ParseTree, right_branching_parse
 
 from conftest import ORACLE_TOL, add_twin_tree_kind, assert_matches_oracle, make_seq
@@ -443,18 +442,21 @@ def test_build_encoder_bad_hyper(kind):
         enc.build_encoder(kind, 0, 4, 8, bogus=1)
 
 
-@pytest.mark.parametrize("token, key", [
-    ("self_attention(heads=2,use_pe=flase)", "use_pe"),
-    ("self_attention(heads=2,use_pe=1)", "use_pe"),
-    ("cnn(window=1,from_borep=yes)", "from_borep"),
-    ("cnn(window=1,from_borep=0)", "from_borep"),
+@pytest.mark.parametrize("kind, hyper, key", [
+    pytest.param("self_attention", {"heads": 2, "use_pe": "flase"}, "use_pe",
+                 id="self_attention(heads=2,use_pe=flase)-use_pe"),
+    pytest.param("self_attention", {"heads": 2, "use_pe": 1}, "use_pe",
+                 id="self_attention(heads=2,use_pe=1)-use_pe"),
+    pytest.param("cnn", {"window": 1, "from_borep": "yes"}, "from_borep",
+                 id="cnn(window=1,from_borep=yes)-from_borep"),
+    pytest.param("cnn", {"window": 1, "from_borep": 0}, "from_borep",
+                 id="cnn(window=1,from_borep=0)-from_borep"),
 ])
-def test_build_encoder_non_bool_flag(token, key):
-    # a spec value other than true/false parses to a string or a number,
-    # which would otherwise act as a flag by its truthiness
-    spec = parse_encoder_spec(token)
+def test_build_encoder_non_bool_flag(kind, hyper, key):
+    # a value other than True/False would otherwise act as a flag by its
+    # truthiness; parse_encoder_spec rejects such spec values before this
     with pytest.raises(ConfigError, match=key):
-        enc.build_encoder(spec.kind, 0, 4, 8, **spec.hyper_dict())
+        enc.build_encoder(kind, 0, 4, 8, **hyper)
 
 
 def test_tree_lstm_dispatch_reads_trees_module_per_call(monkeypatch, nprng):

@@ -142,6 +142,13 @@ def test_readme_samples_load(tmp_path):
     assert task.plan.kind == "tv" and len(task.trees) == 4
 
 
+def test_readme_config_names_every_key():
+    lines = readme_block("embeddings=").splitlines()
+    missing = [key for key in sorted(randenc.runner._CONFIG_KEYS)
+               if not any(line.startswith(f"{key}=") for line in lines)]
+    assert missing == []
+
+
 def test_perfbench_tracer_installs(monkeypatch, tmp_path):
     # perfbench/tracing.py wraps library functions by name; a rename fails here
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))

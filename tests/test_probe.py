@@ -406,6 +406,29 @@ def test_masked_lane_stopped_early_leaves_others_unaffected(kind):
     assert [lane[2] for lane in lanes] == [60, 60, 0] * 3
 
 
+def test_every_stop_rule_in_one_masked_loop():
+    # lanes leave one loop in different rounds, each by one of the four stop
+    # rules, so the later rounds run on slots that no longer match lanes
+    x, y, _, _ = lane_problem(3, n_classes=2)
+    x[44] = x[43]  # one row under both labels (y alternates)
+    folds = [
+        # trained on that row alone: an exactly zero gradient at l2=0, and
+        # at l2=1e-2 only W1 decays, so dev accuracy never moves: patience
+        (np.array([43, 44]), np.arange(8)),
+        # a plain fold: its l2=0 lane last improves at epoch 15 and stops at
+        # max_epochs, which eval_interval does not divide, after a check there
+        (np.arange(26), np.arange(26, 43)),
+        # dev rows of class 0 only: the all-zero start already scores 1.0,
+        # so no check improves on it: patience
+        (np.arange(20, 43), np.flatnonzero(y[:40] == 0)[:6]),
+    ]
+    # every fold's l2=1e20 lane halves its step below 1e-16: step underflow
+    config = ProbeConfig(kind="mlp", hidden=5, l2_grid=(0.0, 1e-2, 1e20), max_epochs=23,
+                         patience=4, eval_interval=5)
+    lanes = check_masked_lanes_match_fit(x, y, folds, config, 2)
+    assert [lane[2] for lane in lanes] == [0, 20, 0, 23, 23, 0, 20, 20, 0]
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["grid", "folds"])
 @pytest.mark.parametrize("kind", ["logreg", "mlp"])
 def test_gradients_only_for_accepted_trials(kind, masked, monkeypatch):

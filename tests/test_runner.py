@@ -165,6 +165,10 @@ BAD_CONFIG_LINES = {
     "encoder_hyper": ("encoders=cnn(window)", "expected key=value, got 'window'"),
     "encoder_hyper_name": ("encoders=cnn(windw=2)", "cnn takes no 'windw'; it takes window"),
     "encoder_hyper_repeat": ("encoders=cnn(window=2,window=3)", "'window' is given more than once"),
+    "encoder_hyper_int": ("encoders=borep,cnn(window=abc)", "window= takes int values, got 'abc'"),
+    "encoder_hyper_float": ("encoders=esn(rho=high)", "esn rho= takes float values, got 'high'"),
+    "encoder_hyper_paren": ("encoders=cnn(window=2))", "cnn window= takes int values, got '2)'"),
+    "encoder_hyper_bool": ("encoders=cnn(from_borep=1)", "from_borep= takes bool values, got 1"),
 }
 
 

@@ -222,11 +222,13 @@ def test_missing_split_file_rejected(tmp_path):
 
 def test_bad_split_value(tmp_path):
     write(tmp_path / "data.tsv", "a\tx\nb\ty\n")
-    manifest = write(
-        tmp_path / "task.manifest", "name=m\nkind=single\ndata=data.tsv\nsplit=folds7\n"
-    )
-    with pytest.raises(TaskFormatError, match="cv10"):
-        load_task(manifest)
+    # "²".isdigit() is true, but int() cannot read it
+    for split in ("folds7", "cv²"):
+        manifest = write(
+            tmp_path / "task.manifest", f"name=m\nkind=single\ndata=data.tsv\nsplit={split}\n"
+        )
+        with pytest.raises(TaskFormatError, match="cv10"):
+            load_task(manifest)
 
 
 def test_trees_count_mismatch(tmp_path):
