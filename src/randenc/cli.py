@@ -94,6 +94,8 @@ _ENCODE_BLOCK = 256
 
 def _cmd_encode(args) -> int:
     spec = parse_encoder_spec(args.encoder)
+    if not args.load_params:  # a checkpoint fixes what a bare spec leaves out
+        spec.check(args.dim)
     on_trees = KINDS[spec.kind].reads_parses
     if on_trees and not args.trees:
         raise ConfigError(f"{spec.kind} encoding requires --trees")

@@ -7,6 +7,7 @@ here is ever trained.
 
 from __future__ import annotations
 
+import codecs
 import io
 import os
 import re
@@ -46,8 +47,22 @@ class EmbeddingFormatError(ValueError):
         self.line_no = line_no
 
 
-# What errors="surrogateescape" decodes each byte that is not UTF-8 to.
+# Each byte that is not UTF-8 decodes to a lone surrogate, as under
+# errors="surrogateescape", and this pattern finds one. The handler also
+# counts its calls, and read_lines searches a line only once the count has
+# moved since it opened its file, so a valid file costs no search. Another
+# file's bad byte moves the count too: that costs searches, never a miss.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+_escapes = 0
+
+
+def _escape_and_count(exc: UnicodeDecodeError):
+    global _escapes
+    _escapes += 1
+    return codecs.lookup_error("surrogateescape")(exc)
+
+
+codecs.register_error("randenc.escape", _escape_and_count)
 
 
 def read_lines(path, error, start: int = 0, end: int | None = None):
@@ -58,29 +73,19 @@ def read_lines(path, error, start: int = 0, end: int | None = None):
     they were a file of their own; end None reads to the end of the file. A
     byte-order mark at byte 0 of the file is dropped.
 
-    A byte that is not UTF-8 raises error(line_no, offset, reason) once the
-    lines before it have been yielded, so an error they raise wins: the line
-    that holds the first such byte, the byte's offset in that line and what
-    is wrong. Text mode decodes ahead in chunks, so its exception can come
-    lines before that byte; the lines are read again to place it.
+    The file is opened and decoded once. The line that holds the first byte
+    that is not UTF-8 raises error(line_no, offset, reason) in place of
+    being yielded: its number, the byte's offset in it and what is wrong.
+    The lines before it have been yielded, so an error they raise wins.
     """
-    done = 0
-    try:
-        with _open_text(path, start, end, "strict") as fh:
-            for done, line in enumerate(fh, start=1):
-                yield done, line
-            return
-    except UnicodeDecodeError:
-        pass
-    with _open_text(path, start, end, "surrogateescape") as fh:
+    seen = _escapes
+    with _open_text(path, start, end) as fh:
         for line_no, line in enumerate(fh, start=1):
-            bad = _ESCAPED_BYTE.search(line)
-            if bad:
+            if _escapes != seen and (bad := _ESCAPED_BYTE.search(line)):
                 offset = len(line[: bad.start()].encode("utf-8"))
                 byte = ord(bad.group()) - 0xDC00
                 raise error(line_no, offset, f"byte 0x{byte:02x} is not UTF-8")
-            if line_no > done:
-                yield line_no, line
+            yield line_no, line
 
 
 def read_key_values(lines, path, keys, error, what: str):
@@ -110,22 +115,23 @@ def read_key_values(lines, path, keys, error, what: str):
     return entries, line_of
 
 
-def _open_text(path, start: int, end: int | None, errors: str):
-    """Bytes [start, end) of path as UTF-8 text; only byte 0 may hold a BOM."""
+def _open_text(path, start: int, end: int | None):
+    """Bytes [start, end) of path as UTF-8 text, each byte that is not UTF-8
+    escaped to a lone surrogate; only byte 0 may hold a BOM."""
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    if end is not None:
+        raw = _ByteRange(raw, end - start)
     encoding = "utf-8-sig" if start == 0 else "utf-8"
-    if start == 0 and end is None:
-        return open(path, encoding=encoding, errors=errors)
-    raw = _ByteRange(open(path, "rb", buffering=0), start, end)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding, errors=errors)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding, errors="randenc.escape")
 
 
 class _ByteRange(io.RawIOBase):
-    """An unbuffered binary file read from byte start up to byte end."""
+    """The next size bytes of an unbuffered binary file."""
 
-    def __init__(self, raw, start: int, end: int):
+    def __init__(self, raw, size: int):
         self._raw = raw
-        self._left = end - start
-        raw.seek(start)
+        self._left = size
 
     def readable(self) -> bool:
         return True

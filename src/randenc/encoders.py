@@ -16,6 +16,7 @@ Reproducibility contract: parameters are drawn from randenc.numerics.SeededRng
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ __all__ = [
     "build_cnn",
     "build_self_attention",
     "build_encoder",
+    "check_encoder",
     "encode_borep",
     "encode_rand_lstm",
     "encode_esn",
@@ -165,6 +167,11 @@ class RandLstmParams:
     backward: LstmWeights
 
 
+def _check_rand_lstm(out_dim: int) -> None:
+    if out_dim % 2 != 0:
+        raise ConfigError(f"rand_lstm needs an even output dim, got {out_dim}")
+
+
 def build_rand_lstm(seed: int, in_dim: int, out_dim: int) -> RandLstmParams:
     """Bidirectional LSTM, D'/2 hidden units per direction.
 
@@ -172,8 +179,7 @@ def build_rand_lstm(seed: int, in_dim: int, out_dim: int) -> RandLstmParams:
     b_g, W_o, U_o, b_o}, then the backward direction in the same order.
     Every weight and bias is uniform +-1/sqrt(D).
     """
-    if out_dim % 2 != 0:
-        raise ConfigError(f"rand_lstm needs an even output dim, got {out_dim}")
+    _check_rand_lstm(out_dim)
     hidden = out_dim // 2
     rng = SeededRng(seed)
     fwd = draw_lstm_direction(rng, in_dim, hidden, init_d=in_dim)
@@ -294,6 +300,21 @@ def _draw_reservoir(
     return _frozen(w_in), _frozen(w_rec)
 
 
+def _check_esn(
+    out_dim: int, rho: float, sparsity: float, leak: float, input_scaling: float
+) -> None:
+    if out_dim % 2 != 0:
+        raise ConfigError(f"esn needs an even output dim, got {out_dim}")
+    if not (0.0 < rho < math.inf):
+        raise ConfigError(f"esn spectral radius target must be positive and finite, got {rho}")
+    if not math.isfinite(input_scaling):
+        raise ConfigError(f"esn input_scaling must be finite, got {input_scaling}")
+    if not (0.0 < sparsity <= 1.0):
+        raise ConfigError(f"esn sparsity (fraction nonzero) must be in (0, 1], got {sparsity}")
+    if not (0.0 < leak <= 1.0):
+        raise ConfigError(f"esn leak rate must be in (0, 1], got {leak}")
+
+
 def build_esn(
     seed: int,
     in_dim: int,
@@ -310,16 +331,7 @@ def build_esn(
     (h x h, uniform +-1), sparsity mask (h x h cell draws). The sparsified
     recurrent matrix is rescaled so its spectral radius is rho.
     """
-    if out_dim % 2 != 0:
-        raise ConfigError(f"esn needs an even output dim, got {out_dim}")
-    if not (0.0 < rho < math.inf):
-        raise ConfigError(f"esn spectral radius target must be positive and finite, got {rho}")
-    if not math.isfinite(input_scaling):
-        raise ConfigError(f"esn input_scaling must be finite, got {input_scaling}")
-    if not (0.0 < sparsity <= 1.0):
-        raise ConfigError(f"esn sparsity (fraction nonzero) must be in (0, 1], got {sparsity}")
-    if not (0.0 < leak <= 1.0):
-        raise ConfigError(f"esn leak rate must be in (0, 1], got {leak}")
+    _check_esn(out_dim, rho, sparsity, leak, input_scaling)
     hidden = out_dim // 2
     rng = SeededRng(seed)
     w_in_f, w_rec_f = _draw_reservoir(rng, in_dim, hidden, rho, sparsity, input_scaling)
@@ -395,6 +407,15 @@ class CnnParams:
     b: np.ndarray  # D'
 
 
+def _check_cnn(out_dim: int, window: int, from_borep: bool) -> None:
+    if window < 1:
+        raise ConfigError(f"cnn window must be >= 1, got {window}")
+    if not isinstance(from_borep, bool):
+        raise ConfigError(f"cnn from_borep must be true or false, got {from_borep!r}")
+    if from_borep and window != 1:
+        raise ConfigError("from_borep mapping requires window=1")
+
+
 def build_cnn(
     seed: int, in_dim: int, out_dim: int, window: int = 3, from_borep: bool = False
 ) -> CnnParams:
@@ -407,13 +428,8 @@ def build_cnn(
     projection of the same seed and the bias is zero, which makes the two
     encoders identical.
     """
-    if window < 1:
-        raise ConfigError(f"cnn window must be >= 1, got {window}")
-    if not isinstance(from_borep, bool):
-        raise ConfigError(f"cnn from_borep must be true or false, got {from_borep!r}")
+    _check_cnn(out_dim, window, from_borep)
     if from_borep:
-        if window != 1:
-            raise ConfigError("from_borep mapping requires window=1")
         return cnn_from_borep(build_borep(seed, in_dim, out_dim))
     rng = SeededRng(seed)
     bound = 1.0 / math.sqrt(in_dim)
@@ -484,6 +500,22 @@ class SelfAttentionParams:
     blocks: tuple[AttentionBlock, ...]
 
 
+def _check_self_attention(out_dim: int, heads: int, n_layers: int, use_pe: bool) -> None:
+    for key, count in (("heads", heads), ("n_layers", n_layers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ConfigError(f"self_attention {key} must be an integer, got {count!r}")
+    if heads < 1 or out_dim % heads != 0:
+        raise ConfigError(
+            f"self_attention needs out_dim divisible by heads, got {out_dim} % {heads}"
+        )
+    if n_layers < 1:
+        raise ConfigError(f"self_attention needs at least one layer, got {n_layers}")
+    if not isinstance(use_pe, bool):
+        raise ConfigError(f"self_attention use_pe must be true or false, got {use_pe!r}")
+    if use_pe and out_dim % 2 != 0:
+        raise ConfigError(f"self_attention with use_pe needs an even output dim, got {out_dim}")
+
+
 def build_self_attention(
     seed: int,
     in_dim: int,
@@ -499,17 +531,7 @@ def build_self_attention(
     layer, per head: w_q (d_k x D'), w_k (d_k x D'), w_v (d_v x D'); then
     the layer's w_o (D' x D'). d_k = d_v = D' / heads.
     """
-    for key, count in (("heads", heads), ("n_layers", n_layers)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ConfigError(f"self_attention {key} must be an integer, got {count!r}")
-    if heads < 1 or out_dim % heads != 0:
-        raise ConfigError(
-            f"self_attention needs out_dim divisible by heads, got {out_dim} % {heads}"
-        )
-    if n_layers < 1:
-        raise ConfigError(f"self_attention needs at least one layer, got {n_layers}")
-    if not isinstance(use_pe, bool):
-        raise ConfigError(f"self_attention use_pe must be true or false, got {use_pe!r}")
+    _check_self_attention(out_dim, heads, n_layers, use_pe)
     d_k = out_dim // heads
     rng = SeededRng(seed)
     w_up = _frozen(xavier_uniform_init(rng, out_dim, in_dim))
@@ -624,6 +646,20 @@ def build_encoder(kind: str, seed: int, in_dim: int, out_dim: int, **hyper):
         raise ConfigError(f"{kind}: bad hyperparameters ({exc})") from None
 
 
+def check_encoder(kind: str, out_dim: int, hyper: dict) -> None:
+    """The checks kind's builder makes before it draws, run on out_dim and
+    hyper with the builder's defaults filled in; nothing is drawn. A name
+    the builder does not take, or a value the checks reject, raises
+    ConfigError("bad hyperparameters (...)")."""
+    entry = KINDS[kind]
+    try:
+        bound = inspect.signature(entry.build).bind(None, None, out_dim, **hyper)
+        bound.apply_defaults()
+        entry.check(**{k: v for k, v in bound.arguments.items() if k not in ("seed", "in_dim")})
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"bad hyperparameters ({exc})") from None
+
+
 def encode(params, seq: TokenSequence, tree=None) -> np.ndarray:
     """Run one frozen encoder over a sentence: a T x D' array.
 
@@ -728,25 +764,29 @@ def encode_corpus(
 
 class EncoderKind(NamedTuple):
     """One encoder kind: its params dataclass, its builder
-    (seed, in_dim, out_dim, **hyper) -> params, its per-sentence encoder
-    (params, seq, tree) -> T x D' array, and its batch encoder
-    (params, seqs, trees) -> B x T x D' array over B checked sentences of
-    one length, T the rows encode gives each of them. reads_parses marks a
-    kind that takes one parse per sentence; the others get None."""
+    (seed, in_dim, out_dim, **hyper) -> params, the checks the builder
+    makes first, which draw nothing and take out_dim and the hyperparameters
+    by name, its per-sentence encoder (params, seq, tree) -> T x D' array,
+    and its batch encoder (params, seqs, trees) -> B x T x D' array over B
+    checked sentences of one length, T the rows encode gives each of them.
+    reads_parses marks a kind that takes one parse per sentence; the others
+    get None."""
 
     params: type
     build: Callable
+    check: Callable
     encode: Callable
     encode_batch: Callable
     reads_parses: bool = False
 
 
 def _sequence_kind(
-    params: type, build: Callable, encode_fn: Callable, batch_fn: Callable
+    params: type, build: Callable, check: Callable, encode_fn: Callable, batch_fn: Callable
 ) -> EncoderKind:
     return EncoderKind(
         params,
         build,
+        check,
         lambda p, seq, tree: encode_fn(p, seq),
         lambda p, seqs, trees: batch_fn(p, np.stack([seq.vectors for seq in seqs])),
     )
@@ -756,13 +796,16 @@ def _sequence_kind(
 from . import trees  # noqa: E402
 
 KINDS = {entry.params.kind: entry for entry in (
-    _sequence_kind(BorepParams, build_borep, encode_borep, encode_borep_batch),
-    _sequence_kind(RandLstmParams, build_rand_lstm, encode_rand_lstm, encode_rand_lstm_batch),
-    _sequence_kind(EsnParams, build_esn, encode_esn, encode_esn_batch),
-    _sequence_kind(CnnParams, build_cnn, encode_cnn, encode_cnn_batch),
+    _sequence_kind(BorepParams, build_borep, lambda out_dim: None, encode_borep,
+                   encode_borep_batch),
+    _sequence_kind(RandLstmParams, build_rand_lstm, _check_rand_lstm, encode_rand_lstm,
+                   encode_rand_lstm_batch),
+    _sequence_kind(EsnParams, build_esn, _check_esn, encode_esn, encode_esn_batch),
+    _sequence_kind(CnnParams, build_cnn, _check_cnn, encode_cnn, encode_cnn_batch),
     _sequence_kind(
         SelfAttentionParams,
         build_self_attention,
+        _check_self_attention,
         encode_self_attention,
         encode_self_attention_batch,
     ),
@@ -773,6 +816,7 @@ KINDS = {entry.params.kind: entry for entry in (
         functools.wraps(trees.build_tree_lstm)(
             lambda *args, **hyper: trees.build_tree_lstm(*args, **hyper)
         ),
+        trees.check_tree_lstm,
         lambda p, seq, tree: trees.encode_tree_lstm(p, seq, tree),
         lambda p, seqs, parses: trees.encode_tree_lstm_batch(p, seqs, parses),
         reads_parses=True,

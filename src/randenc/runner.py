@@ -79,6 +79,14 @@ class EncoderSpec:
     def hyper_dict(self) -> dict:
         return dict(self.hyper)
 
+    def check(self, out_dim: int) -> None:
+        """The builder's checks at width out_dim, run before anything is read
+        or drawn; a failure names the spec."""
+        try:
+            enc.check_encoder(self.kind, out_dim, self.hyper_dict())
+        except ConfigError as exc:
+            raise ConfigError(f"encoder spec {self.label!r}: {exc}") from None
+
 
 def _parse_value(raw: str):
     lowered = raw.lower()
@@ -123,8 +131,6 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
             raise ConfigError(
                 f"encoder spec {token!r}: bad hyperparameters ({key!r} is given more than once)"
             )
-        if taken is None:
-            continue
         if key not in taken:
             expected = f"; it takes {', '.join(taken)}" if taken else ""
             raise ConfigError(
@@ -138,20 +144,17 @@ def parse_encoder_spec(token: str) -> EncoderSpec:
     return EncoderSpec(kind, tuple(hyper), token)
 
 
-def _hyperparameters(kind: str) -> dict[str, object] | None:
+def _hyperparameters(kind: str) -> dict[str, object]:
     """The names kind's builder takes after seed, in_dim and out_dim, with
-    their defaults, or None when it takes any name (**kwargs)."""
-    params = inspect.signature(enc.KINDS[kind].build).parameters.values()
-    if any(p.kind is p.VAR_KEYWORD for p in params):
-        return None
-    named = [p for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
-    return {p.name: p.default for p in named[3:]}
+    their defaults."""
+    params = list(inspect.signature(enc.KINDS[kind].build).parameters.values())
+    return {p.name: p.default for p in params[3:]}
 
 
 def _fits_default(value, default) -> bool:
     """Whether a spec value has the type of the builder's default: a bool
     for a bool, an int (not a bool) for an int, an int or a float for a
-    float, a str for a str. Ranges are the builders' to check."""
+    float, a str for a str. Ranges are EncoderSpec.check's to check."""
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
@@ -215,6 +218,9 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be non-negative, got {self.seeds}")
         if self.oov not in ("drop", "zero"):
             raise ConfigError(f"oov policy must be drop or zero, got {self.oov!r}")
+        for spec in self.encoders:
+            for dim in self.dims:
+                spec.check(dim)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -545,31 +551,35 @@ def _fmt(value: float) -> str:
 # cells go through the csv module, which quotes exactly when needed
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """A table at path, written whole: to a temporary file beside it that
+    is synced to disk and then replaces it. An exception leaves an earlier
+    table at path as it was and removes the temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header.split(","))
+            writer.writerows(rows)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_results_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [r.task, r.encoder, r.dim, r.pooling, r.seed, _fmt(r.accuracy), r.wall_ms]
-            )
+    _write_csv(path, RESULTS_HEADER, ([r.task, r.encoder, r.dim, r.pooling, r.seed,
+                                       _fmt(r.accuracy), r.wall_ms] for r in rows))
 
 
 def write_summary_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [r.task, r.encoder, r.dim, r.pooling, _fmt(r.mean), _fmt(r.sd), r.n]
-            )
+    _write_csv(path, SUMMARY_HEADER, ([r.task, r.encoder, r.dim, r.pooling,
+                                       _fmt(r.mean), _fmt(r.sd), r.n] for r in rows))
 
 
 def write_errors_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "encoder", "dim", "pooling", "seed", "error"])
-        for r in rows:
-            writer.writerow(
-                [r.task, r.encoder, r.dim, r.pooling, r.seed, r.error.replace("\n", " ")]
-            )
+    _write_csv(path, "task,encoder,dim,pooling,seed,error", (
+        [r.task, r.encoder, r.dim, r.pooling, r.seed, r.error.replace("\n", " ")] for r in rows
+    ))

@@ -189,7 +189,7 @@ def check_probe_gradients() -> None:
         raise AssertionError("zero-initialized balanced binary loss is not ln 2")
 
 
-def check_checkpoint_roundtrip(tmp_path: str | None = None) -> None:
+def check_checkpoint_roundtrip() -> None:
     import tempfile, os
 
     params = encoders.build_self_attention(21, 6, 16, heads=2)

@@ -387,16 +387,12 @@ def write_task_files(dataset: TaskDataset, out_dir: str) -> str:
         write_rows(os.path.join(out_dir, "data.tsv"), order)
         lines.append("data=data.tsv")
         lines.append(f"split=cv{dataset.plan.folds}")
-    if dataset.trees is not None:
-        with open(os.path.join(out_dir, "trees.txt"), "w", encoding="utf-8") as fh:
-            for i in order:
-                fh.write(format_bracketed(dataset.trees[i]) + "\n")
-        lines.append("trees=trees.txt")
-    if dataset.trees2 is not None:
-        with open(os.path.join(out_dir, "trees2.txt"), "w", encoding="utf-8") as fh:
-            for i in order:
-                fh.write(format_bracketed(dataset.trees2[i]) + "\n")
-        lines.append("trees2=trees2.txt")
+    for key, parses in (("trees", dataset.trees), ("trees2", dataset.trees2)):
+        if parses is not None:
+            with open(os.path.join(out_dir, f"{key}.txt"), "w", encoding="utf-8") as fh:
+                for i in order:
+                    fh.write(format_bracketed(parses[i]) + "\n")
+            lines.append(f"{key}={key}.txt")
     manifest_path = os.path.join(out_dir, "task.manifest")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -35,6 +35,7 @@ __all__ = [
     "right_branching_parse",
     "TreeLstmParams",
     "build_tree_lstm",
+    "check_tree_lstm",
     "encode_tree_lstm",
     "encode_tree_lstm_batch",
     "check_leaf_count",
@@ -205,6 +206,16 @@ class TreeLstmParams:
     node_domain: str
 
 
+def check_tree_lstm(out_dim: int, node_domain: str) -> None:
+    """build_tree_lstm's checks, which draw nothing."""
+    if out_dim % 2 != 0:
+        raise ConfigError(f"tree_lstm needs an even output dim, got {out_dim}")
+    if node_domain not in NODE_DOMAINS:
+        raise ConfigError(
+            f"tree_lstm node_domain must be one of {NODE_DOMAINS}, got {node_domain!r}"
+        )
+
+
 def build_tree_lstm(
     seed: int, in_dim: int, out_dim: int, node_domain: str = "all"
 ) -> TreeLstmParams:
@@ -213,12 +224,7 @@ def build_tree_lstm(
     tree cell's gates in order i, f_l, f_r, o, u, each drawing W (D' x D'),
     U_L (D' x D'), U_R (D' x D'), b (1 x D'), all uniform +-1/sqrt(D').
     """
-    if out_dim % 2 != 0:
-        raise ConfigError(f"tree_lstm needs an even output dim, got {out_dim}")
-    if node_domain not in NODE_DOMAINS:
-        raise ConfigError(
-            f"tree_lstm node_domain must be one of {NODE_DOMAINS}, got {node_domain!r}"
-        )
+    check_tree_lstm(out_dim, node_domain)
     rng = SeededRng(seed)
     hidden = out_dim // 2
     leaf_fwd = draw_lstm_direction(rng, in_dim, hidden, init_d=in_dim)

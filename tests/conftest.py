@@ -1,3 +1,4 @@
+import functools
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -58,6 +59,7 @@ def add_twin_tree_kind(monkeypatch) -> str:
     """Register a second kind that reads parses: tree_lstm's weights and
     arithmetic under another name. Returns the kind's name."""
 
+    @functools.wraps(build_tree_lstm)
     def build(*args, **hyper):
         drawn = build_tree_lstm(*args, **hyper)
         return TwinTreeParams(**{f.name: getattr(drawn, f.name) for f in fields(drawn)})

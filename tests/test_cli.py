@@ -87,6 +87,22 @@ def test_encode_save_then_load_params_is_byte_identical(tmp_path, kind):
     assert drawn and drawn == (tmp_path / "loaded.txt").read_bytes()
 
 
+def test_encode_load_params_takes_left_out_hyperparameters_from_checkpoint(tmp_path):
+    # heads=2 at D'=6 is fine; the bare spec's default heads=8 would not
+    # divide 6, but with --load-params the checkpoint supplies heads
+    stage_inputs(tmp_path, 10)
+    ckpt = str(tmp_path / "params.npz")
+    args = encode_args(tmp_path, "self_attention", "max", "drawn.txt", "--save-params", ckpt)
+    args[args.index("--encoder") + 1] = "self_attention(heads=2)"
+    args[args.index("--dim") + 1] = "6"
+    assert cli.main(args) == 0
+    args = encode_args(tmp_path, "self_attention", "max", "loaded.txt", "--load-params", ckpt)
+    args[args.index("--dim") + 1] = "6"
+    assert cli.main(args) == 0
+    drawn = (tmp_path / "drawn.txt").read_bytes()
+    assert drawn and drawn == (tmp_path / "loaded.txt").read_bytes()
+
+
 def corrupt_input(tmp_path):
     lines = (tmp_path / "input.txt").read_text(encoding="utf-8").splitlines(keepends=True)
     lines[2] = "  \n"
@@ -193,12 +209,30 @@ def test_encode_checkpoint_without_asked_hyperparameter_leaves_output_untouched(
 
 
 @pytest.mark.parametrize("spec", ["cnn(windw=2)", "cnn(window=2,window=3)", "cnn(window=abc)",
-                                  "esn(rho=high)", "cnn(window=2))"])
+                                  "esn(rho=high)", "cnn(window=2))", "esn(leak=0)",
+                                  "cnn(window=0)", "self_attention(heads=0)"])
 def test_encode_rejects_bad_spec_before_reading(tmp_path, capsys, spec):
     args = encode_args(tmp_path, "cnn")
     args[args.index("--encoder") + 1] = spec
     assert cli.main(args) == 2  # no input file exists: the spec is checked first
     assert capsys.readouterr().err.startswith(f"error: encoder spec {spec!r}: bad hyperparameters")
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("spec, dim, reason", [
+    ("esn(leak=0)", "8", "esn leak rate must be in (0, 1], got 0"),
+    ("rand_lstm", "127", "rand_lstm needs an even output dim, got 127"),
+    ("self_attention(heads=3)", "15",
+     "self_attention with use_pe needs an even output dim, got 15"),
+])
+def test_encode_rejects_bad_range_or_width_before_reading(tmp_path, capsys, spec, dim, reason):
+    args = encode_args(tmp_path, "cnn")
+    args[args.index("--encoder") + 1] = spec
+    args[args.index("--dim") + 1] = dim
+    assert cli.main(args) == 2  # no input file exists: the spec is checked first
+    assert capsys.readouterr().err == (
+        f"error: encoder spec {spec!r}: bad hyperparameters ({reason})\n"
+    )
     assert not (tmp_path / "out.txt").exists()
 
 

@@ -550,3 +550,65 @@ def test_lines_before_a_late_bad_byte_are_read_once(tmp_path, reader):
     with pytest.raises(error) as err:
         _read_with(reader, tmp_path, str(path))
     assert str(err.value) == f"{path}:{len(lines) + 1}: byte 0xe9 is not UTF-8"
+
+
+@pytest.mark.parametrize("byte_range", [False, True], ids=["whole_file", "byte_range"])
+def test_read_lines_opens_the_file_once(tmp_path, monkeypatch, byte_range):
+    # the only bad byte is on the last line, past the first chunk text mode
+    # decodes, so every line before it is read before it is found
+    lines = [f"w{i} {i}.5 -{i}.25\n" for i in range(1000)]
+    data = "".join(lines).encode() + b"caf\xe9 1.0 2.0\n"
+    path = tmp_path / "vec.txt"
+    path.write_bytes(data)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", counting_open, raising=False)
+    start, end = (len(lines[0]), len(data)) if byte_range else (0, None)
+    read = []
+    with pytest.raises(ValueError) as err:
+        for item in embeddings.read_lines(str(path), lambda *where: ValueError(*where),
+                                          start, end):
+            read.append(item)
+    assert err.value.args == (len(lines) + 1 - byte_range, 3, "byte 0xe9 is not UTF-8")
+    assert read == list(enumerate(lines[byte_range:], start=1))
+    assert opened == [str(path)]
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_read_lines_yields_what_text_mode_reads(tmp_path, bom):
+    text = ("caf\u00e9 1\r\u65e5\u672c\u8a9e 2\r\n\U0001f600 3\u0085 4\n"
+            "plain\r\r\u00e9 \u00e8\nlast \U0001f600")
+    path = tmp_path / "text.txt"
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+    with open(path, encoding="utf-8-sig") as fh:
+        expected = list(enumerate(fh, 1))
+    assert len(expected) == 7
+    assert list(embeddings.read_lines(str(path), lambda *where: AssertionError(where))) == expected
+
+
+def test_read_lines_beside_a_reader_of_a_bad_file(tmp_path):
+    # the count of escaped bytes is shared: a bad byte in one file makes a
+    # reader of another search its lines, and neither reads a line wrong
+    good_lines = [f"w{i} café {i}\n" for i in range(600)]
+    (tmp_path / "good.txt").write_text("".join(good_lines), encoding="utf-8")
+    bad_lines = [f"v{i} {i}\n" for i in range(300)]
+    (tmp_path / "bad.txt").write_bytes("".join(bad_lines).encode() + b"x caf\xe9\ny 1\n")
+    good = embeddings.read_lines(str(tmp_path / "good.txt"), lambda *where: ValueError(where))
+    bad = embeddings.read_lines(str(tmp_path / "bad.txt"), lambda *where: ValueError(*where))
+    read = []
+    with pytest.raises(ValueError) as err:
+        for _ in bad:
+            read.append(next(good))
+    assert err.value.args == (len(bad_lines) + 1, 5, "byte 0xe9 is not UTF-8")
+    assert read + list(good) == list(enumerate(good_lines, start=1))
+
+
+def test_read_lines_from_a_start_to_the_end_of_the_file(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"\xef\xbb\xbfa 1\nb 2\r\nc 3")
+    lines = embeddings.read_lines(str(path), lambda *where: AssertionError(where), 7, None)
+    assert list(lines) == [(1, "b 2\n"), (2, "c 3")]

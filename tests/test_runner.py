@@ -88,9 +88,12 @@ def test_parse_takes_the_names_the_builder_takes(monkeypatch):
         with pytest.raises(ConfigError) as err:
             parse_encoder_spec(token)
         assert str(err.value) == f"encoder spec {token!r}: bad hyperparameters ({message}"
-    # a builder that takes **kwargs takes any name, and build_encoder judges it
+    # a registered kind's names are read from its builder's signature too
     twin = add_twin_tree_kind(monkeypatch)
-    assert parse_encoder_spec(f"{twin}(nodes=all)").hyper_dict() == {"nodes": "all"}
+    spec = parse_encoder_spec(f"{twin}(node_domain=leaves)")
+    assert spec.hyper_dict() == {"node_domain": "leaves"}
+    with pytest.raises(ConfigError, match=f"{twin} takes no 'nodes'; it takes node_domain"):
+        parse_encoder_spec(f"{twin}(nodes=all)")
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +175,20 @@ BAD_CONFIG_LINES = {
 }
 
 
-def stage_config_line(tmp_path, line):
-    """A staged config with line in it; returns (path, line number)."""
-    key = line.partition("=")[0]
-    # a key stage_experiment writes is replaced on its own line, others appended
+def stage_config_line(tmp_path, line, *more):
+    """A staged config with line (and more) in it; returns (path, line's
+    number)."""
     path = stage_experiment(tmp_path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    keys = [existing.partition("=")[0] for existing in lines]
-    if key in keys:
-        lines[keys.index(key)] = line
-    else:
-        lines.append(line)
+    for added in (line, *more):
+        key = added.partition("=")[0]
+        # a key stage_experiment writes is replaced on its own line, others appended
+        keys = [existing.partition("=")[0] for existing in lines]
+        if key in keys:
+            lines[keys.index(key)] = added
+        else:
+            lines.append(added)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path, lines.index(line) + 1
@@ -213,13 +218,32 @@ BAD_CONFIG_VALUES = {
     "l2_nan": ("l2_grid=0,nan", "l2 grid values must be finite and >= 0"),
     "l2_inf": ("l2_grid=inf", "l2 grid values must be finite and >= 0"),
     "l2_repeat": ("l2_grid=0.1,0,0.1", "l2 grid values must be distinct"),
+    # encoder ranges and widths are checked at load, not when a job builds
+    "encoder_ranges": (
+        "encoders=borep,esn(leak=0),cnn(window=0),self_attention(heads=0),rand_lstm",
+        "encoder spec 'esn(leak=0)': bad hyperparameters "
+        "(esn leak rate must be in (0, 1], got 0)",
+    ),
+    "encoder_window": ("encoders=borep,cnn(window=0)",
+                       "encoder spec 'cnn(window=0)': bad hyperparameters "
+                       "(cnn window must be >= 1, got 0)"),
+    "encoder_heads": ("encoders=self_attention(heads=0)",
+                      "encoder spec 'self_attention(heads=0)': bad hyperparameters "
+                      "(self_attention needs out_dim divisible by heads, got 16 % 0)"),
+    "encoder_width": ("dims=16,127", "encoder spec 'rand_lstm': bad hyperparameters "
+                      "(rand_lstm needs an even output dim, got 127)"),
+    "attention_pe_width": (
+        "encoders=borep,self_attention(heads=3)", "dims=15",
+        "encoder spec 'self_attention(heads=3)': bad hyperparameters "
+        "(self_attention with use_pe needs an even output dim, got 15)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", BAD_CONFIG_VALUES)
 def test_from_file_value_error_names_file(tmp_path, case):
-    line, message = BAD_CONFIG_VALUES[case]
-    path, _ = stage_config_line(tmp_path, line)
+    *lines, message = BAD_CONFIG_VALUES[case]
+    path, _ = stage_config_line(tmp_path, *lines)
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_file(path)
     assert str(err.value).startswith(f"{path}: ")
@@ -355,16 +379,17 @@ def test_borep_equals_mapped_cnn_accuracy(tmp_path):
 
 
 def test_crash_isolation_yields_error_rows(tmp_path):
-    # heads=3 cannot divide dim=16: that tuple errors, the rest proceed
+    # at sparsity 1e-9 the reservoir draw is all zeros, which only the build
+    # can find: that tuple errors, the rest proceed
     path = stage_experiment(
-        tmp_path, encoders="borep,self_attention(heads=3)", seeds="1",
+        tmp_path, encoders="borep,esn(sparsity=1e-9)", seeds="1",
     )
     config = ExperimentConfig.from_file(path)
     result = run_experiment(config)
     assert len(result.rows) == 2
     assert len(result.errors) == 1
     bad = result.errors[0]
-    assert bad.encoder == "self_attention(heads=3)"
+    assert bad.encoder == "esn(sparsity=1e-9)"
     assert math.isnan(bad.accuracy)
     assert "ConfigError" in bad.error
     good = [r for r in result.rows if not r.error][0]
@@ -553,12 +578,12 @@ def test_sweep_keeps_only_used_vectors_and_checks_every_line(tmp_path, monkeypat
 
 
 def test_build_failure_marks_every_pooling_row(tmp_path):
-    # heads=3 cannot divide dim=16: the whole job fails, both poolings
-    path = stage_experiment(tmp_path, encoders="borep,self_attention(heads=3)",
+    # an all-zero reservoir draw fails the build: the whole job fails, both poolings
+    path = stage_experiment(tmp_path, encoders="borep,esn(sparsity=1e-9)",
                             seeds="1", poolings="max,mean")
     result = run_experiment(ExperimentConfig.from_file(path))
     assert [(r.encoder, r.pooling) for r in result.errors] == [
-        ("self_attention(heads=3)", "max"), ("self_attention(heads=3)", "mean"),
+        ("esn(sparsity=1e-9)", "max"), ("esn(sparsity=1e-9)", "mean"),
     ]
     assert all("ConfigError" in r.error and math.isnan(r.accuracy) for r in result.errors)
     assert len([r for r in result.rows if not r.error]) == 2
@@ -689,3 +714,27 @@ def test_csv_quotes_comma_labels(tmp_path):
         parsed = list(csv.reader(fh))
     assert parsed[1][1] == "cnn(window=2,from_borep=false)"
     assert len(parsed[1]) == 7
+
+
+def test_table_is_written_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "results.csv"
+    write_results_csv(str(path), [row(1, 0.5), row(2, 0.75)])
+    before = path.read_bytes()
+    # the second row's accuracy is no number: the write fails mid-table
+    with pytest.raises(ValueError):
+        write_results_csv(str(path), [row(1, 0.25), row(2, "oops"), row(3, 0.5)])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["results.csv"]
+
+
+def test_config_checks_draw_nothing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a config check drew weights")
+
+    monkeypatch.setattr(enc, "SeededRng", no_draw)
+    monkeypatch.setattr("randenc.trees.SeededRng", no_draw)
+    monkeypatch.setattr(enc, "build_encoder", no_draw)
+    specs = tuple(parse_encoder_spec(kind) for kind in enc.ENCODER_KINDS)
+    ExperimentConfig("e", ("t",), specs, dims=(8, 16))
+    with pytest.raises(ConfigError, match=r"esn leak rate must be in \(0, 1\], got 0"):
+        ExperimentConfig("e", ("t",), (parse_encoder_spec("esn(leak=0)"),), dims=(8,))
