@@ -3,7 +3,8 @@ over a set of tasks, train one probe per tuple, and emit result tables.
 
 Work is scheduled per (task, encoder, dim, seed) job: the encoder is built
 and the corpus encoded once, every configured pooling is taken from that
-one encoding, and each pooling gets its own probe and result row.
+one encoding, and each pooling gets its own probe and result row. Jobs run
+on every usable core, one BLAS thread per process (see _run_jobs).
 
 Outputs in the configured directory:
   results.csv  one row per tuple: task,encoder,dim,pooling,seed,accuracy,wall_ms
@@ -22,11 +23,14 @@ import inspect
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import encoders as enc
+from . import parallel
 from .embeddings import (
     TokenSequence,
     WordEmbeddingTable,
@@ -172,7 +176,7 @@ _CONFIG_KEYS = {
     "l2_grid", "output_dir", "timing", "oov", "lowercase", "clean", *_PROBE_INT_KEYS,
 }
 _REMOVED_KEYS = {
-    "workers": "jobs run one after another; threads made sweeps slower",
+    "workers": "jobs run on every usable core, one process each",
     "probe_seed": "each tuple's probe is seeded by its sweep seed",
 }
 
@@ -434,37 +438,48 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_job(
-    dataset: TaskDataset, corpora: dict[bool, list], spec: EncoderSpec, in_dim: int,
-    dim: int, seed: int, config: ExperimentConfig,
-) -> list[ResultRow]:
-    """One (task, encoder, dim, seed) job: build the encoder and encode each
-    corpus once, then train one probe per pooling; one row per pooling.
+class _Job(NamedTuple):
+    """One (task, encoder, dim, seed) job, with its task's prepared corpora."""
+
+    dataset: TaskDataset
+    corpora: dict[bool, list]
+    spec: EncoderSpec
+    dim: int
+    seed: int
+
+    def row(self, config: ExperimentConfig, pooling: str, accuracy: float, seconds: float,
+            error: str = "") -> ResultRow:
+        wall_ms = int(round(seconds * 1000)) if config.timing else 0
+        return ResultRow(self.dataset.name, self.spec.label, self.dim, pooling, self.seed,
+                         accuracy, wall_ms, error)
+
+    def failed(self, config: ExperimentConfig, seconds: float, error: str) -> list[ResultRow]:
+        return [self.row(config, p, float("nan"), seconds, error) for p in config.poolings]
+
+
+def _run_job(job: _Job, in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+    """Build the job's encoder and encode each corpus once, then train one
+    probe per pooling; one row per pooling.
 
     Crash isolation: a build or encode failure marks every row of the job, a
     probe failure only its own row. A row's wall_ms is the shared build and
     encode time plus its own probe time, i.e. what the tuple would cost if
     run alone.
     """
-
-    def row(pooling: str, accuracy: float, seconds: float, error: str = "") -> ResultRow:
-        wall_ms = int(round(seconds * 1000)) if config.timing else 0
-        return ResultRow(dataset.name, spec.label, dim, pooling, seed, accuracy, wall_ms, error)
-
     start = time.perf_counter()
     try:
-        params = enc.build_encoder(spec.kind, seed, in_dim, dim, **spec.hyper_dict())
+        params = enc.build_encoder(job.spec.kind, job.seed, in_dim, job.dim,
+                                   **job.spec.hyper_dict())
         pooled = [
             enc.encode_corpus(params, list(seqs), config.poolings, trees=parses)
-            for seqs, parses in corpora[enc.KINDS[spec.kind].reads_parses]
+            for seqs, parses in job.corpora[enc.KINDS[job.spec.kind].reads_parses]
         ]
     except Exception as exc:  # crash isolation: one bad job never kills the sweep
-        shared = time.perf_counter() - start
-        return [row(p, float("nan"), shared, _describe(exc)) for p in config.poolings]
+        return job.failed(config, time.perf_counter() - start, _describe(exc))
     shared = time.perf_counter() - start
 
-    y = dataset.label_indices
-    probe_config = replace(config.probe, seed=seed)
+    y = job.dataset.label_indices
+    probe_config = replace(config.probe, seed=job.seed)
     rows = []
     for pooling in config.poolings:
         probe_start = time.perf_counter()
@@ -472,24 +487,158 @@ def _run_job(
         try:
             xs = [by_pooling.pop(pooling) for by_pooling in pooled]  # freed once probed
             features = pair_features(*xs) if len(xs) == 2 else xs[0]
-            accuracy = _probe_accuracy(features, y, dataset.plan, probe_config)
+            accuracy = _probe_accuracy(features, y, job.dataset.plan, probe_config)
         except Exception as exc:
             error = _describe(exc)
-        rows.append(row(pooling, accuracy, shared + time.perf_counter() - probe_start, error))
+        rows.append(job.row(config, pooling, accuracy,
+                            shared + time.perf_counter() - probe_start, error))
     return rows
+
+
+def _run_jobs(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+    """Every job's rows, in no particular order.
+
+    Every job runs at one BLAS thread, in this process or in a forked worker
+    (see _run_on_cores), and the BLAS thread count is restored afterwards.
+    Where a job ran changes none of its rows but their wall_ms. Where
+    OpenBLAS's thread setter cannot be found, every job runs here in turn.
+    """
+    threads = parallel.blas_threads()
+    if threads is None:
+        return [row for job in jobs for row in _run_job(job, in_dim, config)]
+    parallel.set_blas_threads(1)
+    try:
+        return _run_on_cores(jobs, in_dim, config)
+    finally:
+        parallel.set_blas_threads(threads)
+
+
+def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+    """The jobs' rows, run in this process and up to usable_cores - 1 forked
+    workers.
+
+    This process runs the first job before any worker starts, so the
+    sweep's first build, and the memory one job takes here, are what they
+    are with no workers; only then is the fork context looked up, so a
+    sweep that starts no worker (one usable core, fewer than three jobs, or
+    no fork) never imports multiprocessing. Then the workers are sent job
+    numbers from the queue while this process takes jobs from it too. While
+    more than two jobs per worker remain, the workers are sent two jobs
+    each, so that a worker never waits for this process to finish a job
+    before it starts its next; after that, one each, so that uneven jobs
+    still balance at the end. Workers inherit the inputs, and the BLAS
+    thread count, at the fork, which comes before the pool starts a thread;
+    only job numbers and rows cross between processes. No worker outlives
+    the call.
+
+    OpenBLAS stops its threads at a fork and starts them again at its next
+    count change, and a new thread busy-waits for work for about 0.1 s. So
+    once the workers are forked, this process sets the count to 1 again:
+    that busy wait then overlaps the first jobs, and the caller's restore
+    after the sweep starts no thread, so it does not slow whatever the
+    caller does next.
+
+    A worker that dies fails every job sent to the pool and not finished,
+    since the pool then stops. If that is one job, its rows become error
+    rows; if several, each is run again alone in a new worker, and those
+    whose worker dies again get error rows. This process then runs the
+    remaining jobs itself, at one BLAS thread.
+    """
+    queue = deque(range(len(jobs)))
+    rows = _run_job(jobs[queue.popleft()], in_dim, config) if jobs else []
+    workers = min(parallel.usable_cores() - 1, len(queue) - 1)
+    died: list[int] = []
+    if workers > 0 and parallel.fork_context() is not None:
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        running: dict = {}  # future -> job number
+        broken = False
+        forked = False
+        with _worker_pool(workers, jobs, in_dim, config) as pool:
+            while running or (queue and not broken):
+                slots = workers * (2 if len(queue) > 2 * workers else 1)
+                while queue and not broken and len(running) < slots:
+                    try:
+                        running[pool.submit(_run_in_worker, queue[0])] = queue[0]
+                    except BrokenProcessPool:  # a worker died since the last harvest
+                        broken = True
+                    else:
+                        queue.popleft()
+                if not forked:  # the pool forks its workers at the first submit
+                    parallel.set_blas_threads(1)
+                    forked = True
+                if queue and not broken:
+                    rows += _run_job(jobs[queue.popleft()], in_dim, config)
+                else:
+                    wait(running, return_when=FIRST_COMPLETED)
+                for future in [f for f in running if f.done()]:
+                    i = running.pop(future)
+                    try:
+                        rows += future.result()
+                    except BrokenProcessPool:
+                        died.append(i)
+                        broken = True
+        if len(died) > 1:
+            again = {i: _rerun_alone(i, jobs, in_dim, config) for i in died}
+            rows += [row for job_rows in again.values() if job_rows for row in job_rows]
+            died = [i for i, job_rows in again.items() if job_rows is None]
+    for i in died:
+        rows += jobs[i].failed(config, 0.0, _WORKER_DIED)
+    for i in queue:
+        rows += _run_job(jobs[i], in_dim, config)
+    return rows
+
+
+def _rerun_alone(i: int, jobs: list[_Job], in_dim: int,
+                 config: ExperimentConfig) -> list[ResultRow] | None:
+    """Job i's rows, run in a new worker of its own; None if it died."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _worker_pool(1, jobs, in_dim, config) as pool:
+        try:
+            return pool.submit(_run_in_worker, i).result()
+        except BrokenProcessPool:
+            return None
+
+
+def _worker_pool(workers: int, jobs: list[_Job], in_dim: int, config: ExperimentConfig):
+    """A pool of forked workers that run jobs by number (_run_in_worker)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=parallel.fork_context(),
+                               initializer=_start_worker, initargs=(jobs, in_dim, config))
+
+
+_WORKER_DIED = "BrokenProcessPool: the worker process running this job died"
+
+# In a worker: the sweep's jobs, inherited from the process that forked it.
+_worker_jobs: tuple = ()
+
+
+def _start_worker(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs, in_dim, config
+
+
+def _run_in_worker(i: int) -> list[ResultRow]:
+    jobs, in_dim, config = _worker_jobs
+    return _run_job(jobs[i], in_dim, config)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full sweep; returns rows in canonical order and writes
     results.csv / summary.csv (and errors.csv when applicable) under
     config.output_dir."""
-    datasets = [load_task(path) for path in config.tasks]
+    parsed = [spec.kind for spec in config.encoders if enc.KINDS[spec.kind].reads_parses]
+    # a task's parses are read and checked only for a sweep that encodes with
+    # them: parsing is most of the load of a small task
+    datasets = [load_task(path, parses=bool(parsed)) for path in config.tasks]
     # rows are keyed by task name, so two manifests with one name would merge
     # into one task whose repeats the summary counts as extra seeds
     names = tuple(ds.name for ds in datasets)
     if len(set(names)) != len(names):
         raise ConfigError(f"task names must be distinct, got {names}")
-    parsed = [spec.kind for spec in config.encoders if enc.KINDS[spec.kind].reads_parses]
     missing = [ds.name for ds in datasets if not ds.has_trees]
     if parsed and missing:
         raise ConfigError(
@@ -498,14 +647,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     table, prepared = _prepare_tasks(config, datasets)
 
-    rows = [
-        row
+    jobs = [
+        _Job(ds, corpora, spec, dim, seed)
         for ds, corpora in zip(datasets, prepared)
         for spec in config.encoders
         for dim in config.dims
         for seed in config.seeds
-        for row in _run_job(ds, corpora, spec, table.dim, dim, seed, config)
     ]
+    rows = _run_jobs(jobs, table.dim, config)
     rows.sort(key=lambda r: r.sort_key)
     summary = aggregate(rows)
     result = ExperimentResult(tuple(rows), tuple(summary))

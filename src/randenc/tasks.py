@@ -136,9 +136,11 @@ def _read_tsv(path: str, kind: str):
     return texts, (texts2 if kind == "pair" else None), labels
 
 
-def load_task(manifest_path: str) -> TaskDataset:
+def load_task(manifest_path: str, parses: bool = True) -> TaskDataset:
     """Parse a manifest into a validated TaskDataset (example order = file
-    order; train first, then dev, then test for explicit splits)."""
+    order; train first, then dev, then test for explicit splits). With
+    parses False the trees= and trees2= files are neither read nor checked,
+    and the dataset has no trees."""
     entries = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
@@ -210,12 +212,12 @@ def load_task(manifest_path: str) -> TaskDataset:
                         f"{manifest_path}: {split_name} label {label!r} never appears in train"
                     )
 
+    if "trees2" in entries and kind != "pair":
+        raise TaskFormatError(f"{manifest_path}: trees2= only applies to pair tasks")
     trees = trees2 = None
-    if "trees" in entries:
+    if parses and "trees" in entries:
         trees = read_parses(resolve(entries["trees"]), texts)
-    if "trees2" in entries:
-        if kind != "pair":
-            raise TaskFormatError(f"{manifest_path}: trees2= only applies to pair tasks")
+    if parses and "trees2" in entries:
         trees2 = read_parses(resolve(entries["trees2"]), texts2)
     return TaskDataset(
         name, kind, tuple(texts), tuple(texts2) if texts2 is not None else None,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randenc import cli, embeddings
+from randenc import cli, embeddings, parallel
 from randenc.embeddings import (
     EmbeddingFormatError,
     OOV_TOKEN,
@@ -238,7 +238,7 @@ def split_into(n_ranges):
     """Make load_embeddings cut every file of n_ranges bytes or more into
     n_ranges byte ranges, parsed by this process and n_ranges - 1 workers."""
     with mock.patch.object(embeddings, "_RANGE_BYTES", 1), \
-            mock.patch.object(embeddings, "_usable_cores", lambda: n_ranges):
+            mock.patch.object(parallel, "usable_cores", lambda: n_ranges):
         yield
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import time
 from collections import Counter
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from randenc import encoders as enc
-from randenc import runner
+from randenc import parallel, runner
 from randenc.encoders import ConfigError
 from randenc.runner import (
     RESULTS_HEADER,
@@ -32,6 +33,7 @@ from randenc.tasks import (
 )
 from randenc.embeddings import EmbeddingFormatError, write_embeddings
 from randenc.probe import ProbeConfig, SplitPlan, kfold_accuracy
+from randenc.trees import TreeParseError
 
 from conftest import add_twin_tree_kind, assert_matches_oracle
 
@@ -411,6 +413,16 @@ def test_no_errors_csv_on_clean_run(tmp_path):
     assert not os.path.exists(os.path.join(config.output_dir, "errors.csv"))
 
 
+def test_parses_read_only_for_a_kind_that_reads_them(tmp_path):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1")
+    (tmp_path / "order" / "trees.txt").write_text("(W a\n", encoding="utf-8")
+    config = ExperimentConfig.from_file(path)
+    assert not run_experiment(config).errors
+    tree_config = replace(config, encoders=(parse_encoder_spec("tree_lstm"),))
+    with pytest.raises(TreeParseError, match="unclosed"):
+        run_experiment(tree_config)
+
+
 def test_tree_lstm_without_trees_fails_fast(tmp_path):
     path = stage_experiment(tmp_path, encoders="tree_lstm", seeds="1",
                             with_trees=False)
@@ -471,6 +483,8 @@ def test_each_sentence_encoded_once_per_job(tmp_path, monkeypatch, pair, pooling
     n = 20
     path = stage_experiment(tmp_path, n=n, encoders="borep,tree_lstm", dims="8,16",
                             seeds="1,2", poolings=poolings, pair=pair)
+    # calls made in a worker are counted in the worker's copy of calls
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 1)
     calls = count_encodes(monkeypatch)
     result = run_experiment(ExperimentConfig.from_file(path))
     assert not result.errors
@@ -668,6 +682,125 @@ def test_empty_text_fails_before_any_encoding(tmp_path, monkeypatch):
     with pytest.raises(TaskFormatError, match=r"train\.tsv:3: empty text"):
         run_experiment(ExperimentConfig.from_file(path))
     assert builds == []
+
+
+# ---------------------------------------------------------------------------
+# jobs on every usable core
+# ---------------------------------------------------------------------------
+
+
+# jobs go to workers only where OpenBLAS's thread setter and fork are found
+WORKERS = parallel.blas_threads() is not None and parallel.fork_context() is not None
+needs_workers = pytest.mark.skipif(not WORKERS, reason="every job runs in this process")
+
+
+def in_processes(monkeypatch, n):
+    """Make the sweep run its jobs in n processes: this one and n - 1
+    workers."""
+    monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+
+
+class EndSweep(BaseException):
+    """Raised from a build to end run_experiment, as a set-up-only call does."""
+
+
+def logging_build(monkeypatch, log, effect=lambda kind, seed: None):
+    """Wrap build_encoder so that every call, in whichever process makes it,
+    appends "kind seed pid live-children blas-threads" to the file log,
+    then calls effect(kind, seed)."""
+    original = enc.build_encoder
+
+    def build(kind, seed, *args, **hyper):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{kind} {seed} {os.getpid()} {len(multiprocessing.active_children())} "
+                     f"{parallel.blas_threads()}\n")
+        effect(kind, seed)
+        return original(kind, seed, *args, **hyper)
+
+    monkeypatch.setattr(enc, "build_encoder", build)
+
+
+def read_log(log):
+    with open(log, encoding="utf-8") as fh:
+        return [line.split() for line in fh]
+
+
+def test_tables_do_not_depend_on_the_process_count(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep,esn(sparsity=0.5),rand_lstm",
+                            seeds="1,2,3", poolings="max,mean")
+    config = ExperimentConfig.from_file(path)
+    log = tmp_path / "builds.log"
+
+    def one_bad_job(kind, seed):
+        if (kind, seed) == ("esn", 2):
+            raise FloatingPointError("bad draw")
+
+    logging_build(monkeypatch, log, one_bad_job)
+    threads = parallel.blas_threads()
+    tables = {}
+    for n in (2, 1):
+        in_processes(monkeypatch, n)
+        out = replace(config, output_dir=str(tmp_path / f"out{n}"))
+        result = run_experiment(out)
+        assert multiprocessing.active_children() == []
+        assert parallel.blas_threads() == threads
+        assert [(r.encoder, r.seed) for r in result.errors] == [("esn(sparsity=0.5)", 2)] * 2
+        tables[n] = [read_bytes(out, name) for name in ("results.csv", "summary.csv", "errors.csv")]
+        pids = {pid for _kind, _seed, pid, _children, _blas in read_log(log)}
+        assert len(pids) == (n if WORKERS else 1)
+        assert all(blas == str(1 if threads is not None else None)
+                   for *_build, blas in read_log(log))
+        log.unlink()
+    assert tables[2] == tables[1]
+
+
+@needs_workers
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_dead_worker_fails_only_its_job(tmp_path, monkeypatch, processes):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1,2,3,4,5", poolings="max,mean")
+    config = ExperimentConfig.from_file(path)
+    in_processes(monkeypatch, 1)
+    alone = run_experiment(config)
+    worker = multiprocessing.parent_process
+
+    def exit_in_worker(kind, seed):
+        # this process builds seed 1, then sends seeds 2 and 3 to the workers
+        if worker() is not None and seed == 2:
+            os._exit(3)
+        if worker() is not None and seed == 3:
+            time.sleep(0.3)  # still running when the pool breaks
+
+    logging_build(monkeypatch, tmp_path / "builds.log", exit_in_worker)
+    in_processes(monkeypatch, processes)
+    result = run_experiment(config)
+    assert multiprocessing.active_children() == []
+    assert [(r.seed, r.error) for r in result.errors] == [
+        (2, runner._WORKER_DIED), (2, runner._WORKER_DIED),
+    ]
+    assert [r for r in result.rows if not r.error] == [r for r in alone.rows if r.seed != 2]
+
+
+def test_first_build_before_any_worker_and_none_left_after_a_raise(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1,2,3")
+    config = ExperimentConfig.from_file(path)
+    log = tmp_path / "builds.log"
+    threads = parallel.blas_threads()
+    in_processes(monkeypatch, 2)
+
+    def end_at(kind, seed):
+        if (kind, seed) == end and multiprocessing.parent_process() is None:
+            raise EndSweep
+
+    logging_build(monkeypatch, log, end_at)
+    # the first build, as a set-up-only call does; then the job this process
+    # takes once it has sent borep seeds 2 and 3 to the worker
+    for end in (("borep", 1), ("rand_lstm", 1)):
+        with pytest.raises(EndSweep):
+            run_experiment(config)
+        assert multiprocessing.active_children() == []
+        assert parallel.blas_threads() == threads
+        assert read_log(log)[0][:4] == ["borep", "1", str(os.getpid()), "0"]
+        log.unlink()
 
 
 # ---------------------------------------------------------------------------

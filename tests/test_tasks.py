@@ -16,7 +16,7 @@ from randenc.tasks import (
     synthetic_vocabulary,
     write_task_files,
 )
-from randenc.trees import right_branching_parse
+from randenc.trees import TreeParseError, right_branching_parse
 
 
 def write(path, text):
@@ -293,6 +293,21 @@ def test_trees2_on_single_task_rejected(tmp_path):
     )
     with pytest.raises(TaskFormatError, match="pair"):
         load_task(manifest)
+
+
+def test_load_without_parses_reads_no_parse_file(tmp_path):
+    write(tmp_path / "trees.txt", "(W x\n")
+    manifest = single_task_dir(
+        tmp_path, "a\tx\nb\ty\n", "a\tz\nb\tw\n", "a\tq\nb\tr\n",
+        extra="trees=trees.txt\n",
+    )
+    with pytest.raises(TreeParseError, match="unclosed"):
+        load_task(manifest)
+    ds = load_task(manifest, parses=False)
+    assert not ds.has_trees and ds.texts == ("x", "y", "z", "w", "q", "r")
+    write(tmp_path / "task.manifest", open(manifest).read() + "trees2=trees.txt\n")
+    with pytest.raises(TaskFormatError, match="pair"):
+        load_task(manifest, parses=False)
 
 
 def test_dataset_rejects_single_class():
