@@ -13,9 +13,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from randenc.encoders import ENCODER_KINDS
 from randenc.runner import ExperimentConfig, run_experiment
-
-ALL_ENCODERS = "borep,rand_lstm,esn,cnn,self_attention,tree_lstm"
 
 
 def main():
@@ -26,7 +25,7 @@ def main():
     ap.add_argument("--dims", default="128", help="comma list of encoder output widths")
     ap.add_argument("--poolings", default="max")
     ap.add_argument("--seeds", default="1,2,3,4,5")
-    ap.add_argument("--encoders", default=ALL_ENCODERS)
+    ap.add_argument("--encoders", default=",".join(ENCODER_KINDS))
     ap.add_argument("--timing", action="store_true", help="record wall_ms per tuple")
     args = ap.parse_args()
 

@@ -14,15 +14,15 @@ import sys
 
 from . import __version__
 from .embeddings import read_lines
-from .encoders import KINDS, POOLINGS, ConfigError, build_encoder, encode_corpus
-from .runner import (
-    ExperimentConfig,
-    embed_texts,
-    load_used_vectors,
+from .encoders import (
+    KINDS,
+    POOLINGS,
+    ConfigError,
+    build_encoder,
+    encode_corpus,
     parse_encoder_spec,
-    run_experiment,
-    tokenize_texts,
 )
+from .runner import ExperimentConfig, embed_texts, load_used_vectors, run_experiment, tokenize_texts
 from .tasks import read_parses
 
 

@@ -40,6 +40,8 @@ __all__ = [
     "ENCODER_KINDS",
     "KINDS",
     "EncoderKind",
+    "EncoderSpec",
+    "parse_encoder_spec",
     "POOLINGS",
     "BorepParams",
     "LstmWeights",
@@ -54,7 +56,6 @@ __all__ = [
     "build_cnn",
     "build_self_attention",
     "build_encoder",
-    "check_encoder",
     "encode_borep",
     "encode_rand_lstm",
     "encode_esn",
@@ -646,20 +647,6 @@ def build_encoder(kind: str, seed: int, in_dim: int, out_dim: int, **hyper):
         raise ConfigError(f"{kind}: bad hyperparameters ({exc})") from None
 
 
-def check_encoder(kind: str, out_dim: int, hyper: dict) -> None:
-    """The checks kind's builder makes before it draws, run on out_dim and
-    hyper with the builder's defaults filled in; nothing is drawn. A name
-    the builder does not take, or a value the checks reject, raises
-    ConfigError("bad hyperparameters (...)")."""
-    entry = KINDS[kind]
-    try:
-        bound = inspect.signature(entry.build).bind(None, None, out_dim, **hyper)
-        bound.apply_defaults()
-        entry.check(**{k: v for k, v in bound.arguments.items() if k not in ("seed", "in_dim")})
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"bad hyperparameters ({exc})") from None
-
-
 def encode(params, seq: TokenSequence, tree=None) -> np.ndarray:
     """Run one frozen encoder over a sentence: a T x D' array.
 
@@ -810,7 +797,7 @@ KINDS = {entry.params.kind: entry for entry in (
         encode_self_attention_batch,
     ),
     # looked up on trees at each call, so a wrapper set on that module is used;
-    # wraps gives the builder's signature, which parse_encoder_spec reads
+    # wraps gives the builder's signature, which specs are read and checked by
     EncoderKind(
         trees.TreeLstmParams,
         functools.wraps(trees.build_tree_lstm)(
@@ -823,3 +810,93 @@ KINDS = {entry.params.kind: entry for entry in (
     ),
 )}
 ENCODER_KINDS = tuple(KINDS)
+
+
+# ---------------------------------------------------------------------------
+# Encoder specs: "kind(key=value,...)" tokens read against the kind table.
+# ---------------------------------------------------------------------------
+
+# a spec value is read as the type of its builder default
+_READERS = {
+    bool: lambda raw: {"true": True, "false": False}[raw.lower()],
+    int: int,
+    float: float,
+    str: str,
+}
+
+
+def _hyperparameters(kind: str) -> dict[str, object]:
+    """The names kind's builder takes after seed, in_dim and out_dim, with
+    their defaults."""
+    params = list(inspect.signature(KINDS[kind].build).parameters.values())
+    return {p.name: p.default for p in params[3:]}
+
+
+@dataclass(frozen=True)
+class EncoderSpec:
+    """One encoder column of a sweep: kind plus fixed hyperparameters.
+
+    label is the config-file token ("cnn(window=2)"), used verbatim in the
+    encoder column of every output table.
+    """
+
+    kind: str
+    hyper: tuple[tuple[str, object], ...] = ()
+    label: str = ""
+
+    def hyper_dict(self) -> dict:
+        return dict(self.hyper)
+
+    def check(self, out_dim: int) -> None:
+        """The kind's builder checks at width out_dim, with the builder's
+        defaults filled in; nothing is drawn. A name the checks do not take,
+        or a value they reject, raises ConfigError naming the spec."""
+        try:
+            KINDS[self.kind].check(out_dim=out_dim,
+                                   **{**_hyperparameters(self.kind), **self.hyper_dict()})
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError(f"encoder spec {self.label!r}: bad hyperparameters ({exc})") from None
+
+
+def parse_encoder_spec(token: str) -> EncoderSpec:
+    """Parse "kind" or "kind(key=value,key=value)" into an EncoderSpec. Each
+    key must be a name the kind's builder takes, given once. Its value is
+    read as the type of the builder's default: true or false for a bool,
+    int() for an int, float() for a float, the text as written for a str."""
+    token = token.strip()
+    pairs = []
+    if "(" in token:
+        if not token.endswith(")"):
+            raise ConfigError(f"malformed encoder spec {token!r}")
+        kind, _, inner = token[:-1].partition("(")
+        for part in filter(None, (p.strip() for p in inner.split(","))):
+            if "=" not in part:
+                raise ConfigError(f"encoder spec {token!r}: expected key=value, got {part!r}")
+            key, _, raw = part.partition("=")
+            pairs.append((key.strip(), raw.strip()))
+    else:
+        kind = token
+    kind = kind.strip()
+    if kind not in KINDS:
+        raise ConfigError(f"unknown encoder kind {kind!r}; expected one of {ENCODER_KINDS}")
+
+    def bad(reason: str) -> ConfigError:
+        return ConfigError(f"encoder spec {token!r}: bad hyperparameters ({reason})")
+
+    names = [key for key, _ in pairs]
+    taken = _hyperparameters(kind)
+    hyper = []
+    for key, raw in pairs:
+        if names.count(key) > 1:
+            raise bad(f"{key!r} is given more than once")
+        if key not in taken:
+            expected = f"; it takes {', '.join(taken)}" if taken else ""
+            raise bad(f"{kind} takes no {key!r}{expected}")
+        default = taken[key]
+        try:
+            value = _READERS[type(default)](raw)
+        except (KeyError, ValueError):
+            raise bad(f"{kind} {key}= takes {type(default).__name__} values, "
+                      f"got {raw!r}") from None
+        hyper.append((key, value))
+    return EncoderSpec(kind, tuple(hyper), token)

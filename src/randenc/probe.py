@@ -49,7 +49,8 @@ _MIN_STEP = 1e-16
 
 
 class DegenerateTaskError(ValueError):
-    """Training labels contain fewer than two classes."""
+    """Training labels, or a cv fold's inner dev labels, contain fewer than
+    two classes."""
 
 
 @dataclass(frozen=True)
@@ -527,9 +528,8 @@ def _inner_dev_split(y_train: np.ndarray, seed: int):
     """Carve a stratified ~10% dev set out of a training fold for l2
     selection and early stopping: every class with at least 2 training
     examples gives max(1, count // 10) of them to dev, and a class with one
-    example keeps it in training. Only where that dev set would hold fewer
-    than 2 classes (at most one class has 2 training examples) is there
-    nothing to hold out; such a fold validates on its training examples."""
+    example keeps it in training. The dev set holds fewer than 2 classes
+    when at most one class has 2 training examples."""
     rng = SeededRng(seed)
     dev_parts, train_parts = [], []
     for cls in np.unique(y_train):
@@ -538,9 +538,6 @@ def _inner_dev_split(y_train: np.ndarray, seed: int):
         n_dev = max(1, idx.shape[0] // 10) if idx.shape[0] > 1 else 0
         dev_parts.append(idx[order[:n_dev]])
         train_parts.append(idx[order[n_dev:]])
-    if sum(part.size > 0 for part in dev_parts) < 2:
-        all_idx = np.arange(y_train.shape[0])
-        return all_idx, all_idx
     return np.concatenate(train_parts), np.concatenate(dev_parts)
 
 
@@ -555,7 +552,9 @@ def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: P
     task does and scores its test rows.
 
     Every fold's probe has the task's classes, so a class that a fold's
-    training examples lack is one its probe never predicts, not an error."""
+    training examples lack is one its probe never predicts, not an error.
+    A fold whose inner dev split would hold fewer than 2 classes raises
+    DegenerateTaskError naming the fold, before any probe trains."""
     x, y = _check_examples(embeddings, labels)
     n_classes = _n_train_classes(y)
     _check_labels(y, n_classes, "task")
@@ -568,6 +567,12 @@ def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: P
             continue
         _n_train_classes(y[train_idx])
         sub_tr, sub_dev = _inner_dev_split(y[train_idx], config.seed + fold + 1)
+        dev_classes = np.unique(y[train_idx[sub_dev]]).size
+        if dev_classes < 2:
+            raise DegenerateTaskError(
+                f"cv fold {fold + 1} of {k}: its inner dev split holds {dev_classes} class(es); "
+                "choosing l2 needs at least 2 classes with 2 or more training examples each"
+            )
         mask = np.zeros((2, y.shape[0]))
         mask[0, train_idx[sub_tr]] = 1.0
         mask[1, train_idx[sub_dev]] = 1.0

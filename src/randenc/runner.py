@@ -19,7 +19,6 @@ bytes (set timing=off to also pin wall_ms).
 from __future__ import annotations
 
 import csv
-import inspect
 import math
 import os
 import time
@@ -41,7 +40,7 @@ from .embeddings import (
     read_lines,
     tokenize,
 )
-from .encoders import ConfigError
+from .encoders import ConfigError, EncoderSpec, parse_encoder_spec
 from .probe import ProbeConfig, SplitPlan, kfold_accuracy, pair_features, train_probe
 from .tasks import TaskDataset, load_task
 
@@ -66,104 +65,6 @@ __all__ = [
 
 RESULTS_HEADER = "task,encoder,dim,pooling,seed,accuracy,wall_ms"
 SUMMARY_HEADER = "task,encoder,dim,pooling,mean,sd,n"
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """One encoder column of the sweep: kind plus fixed hyperparameters.
-
-    label is the config-file token ("cnn(window=2)"), used verbatim in the
-    encoder column of every output table.
-    """
-
-    kind: str
-    hyper: tuple[tuple[str, object], ...] = ()
-    label: str = ""
-
-    def hyper_dict(self) -> dict:
-        return dict(self.hyper)
-
-    def check(self, out_dim: int) -> None:
-        """The builder's checks at width out_dim, run before anything is read
-        or drawn; a failure names the spec."""
-        try:
-            enc.check_encoder(self.kind, out_dim, self.hyper_dict())
-        except ConfigError as exc:
-            raise ConfigError(f"encoder spec {self.label!r}: {exc}") from None
-
-
-def _parse_value(raw: str):
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def parse_encoder_spec(token: str) -> EncoderSpec:
-    """Parse "kind" or "kind(key=value,key=value)" into an EncoderSpec. Each
-    key must be a name the kind's builder takes, given once, with a value of
-    the type of its default."""
-    token = token.strip()
-    if "(" in token:
-        if not token.endswith(")"):
-            raise ConfigError(f"malformed encoder spec {token!r}")
-        kind, _, inner = token[:-1].partition("(")
-        hyper = []
-        for part in filter(None, (p.strip() for p in inner.split(","))):
-            if "=" not in part:
-                raise ConfigError(f"encoder spec {token!r}: expected key=value, got {part!r}")
-            key, _, value = part.partition("=")
-            hyper.append((key.strip(), _parse_value(value.strip())))
-    else:
-        kind, hyper = token, []
-    kind = kind.strip()
-    if kind not in enc.ENCODER_KINDS:
-        raise ConfigError(
-            f"unknown encoder kind {kind!r}; expected one of {enc.ENCODER_KINDS}"
-        )
-    names = [key for key, _ in hyper]
-    taken = _hyperparameters(kind)
-    for key, value in hyper:
-        if names.count(key) > 1:
-            raise ConfigError(
-                f"encoder spec {token!r}: bad hyperparameters ({key!r} is given more than once)"
-            )
-        if key not in taken:
-            expected = f"; it takes {', '.join(taken)}" if taken else ""
-            raise ConfigError(
-                f"encoder spec {token!r}: bad hyperparameters ({kind} takes no {key!r}{expected})"
-            )
-        if not _fits_default(value, taken[key]):
-            raise ConfigError(
-                f"encoder spec {token!r}: bad hyperparameters ({kind} {key}= takes "
-                f"{type(taken[key]).__name__} values, got {value!r})"
-            )
-    return EncoderSpec(kind, tuple(hyper), token)
-
-
-def _hyperparameters(kind: str) -> dict[str, object]:
-    """The names kind's builder takes after seed, in_dim and out_dim, with
-    their defaults."""
-    params = list(inspect.signature(enc.KINDS[kind].build).parameters.values())
-    return {p.name: p.default for p in params[3:]}
-
-
-def _fits_default(value, default) -> bool:
-    """Whether a spec value has the type of the builder's default: a bool
-    for a bool, an int (not a bool) for an int, an int or a float for a
-    float, a str for a str. Ranges are EncoderSpec.check's to check."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
 
 
 # config-file keys: the ExperimentConfig fields plus the probe's settings

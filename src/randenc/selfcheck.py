@@ -83,8 +83,7 @@ def check_batched_encode() -> None:
     seqs = [_random_seq(rng, t, 6) for t in (1, 2, 5, 5, 3, 9, 5, 1)]
     parses = [right_branching_parse(s.tokens) for s in seqs]
     for kind in encoders.ENCODER_KINDS:
-        hyper = {"sparsity": 0.5} if kind == "esn" else {}
-        params = encoders.build_encoder(kind, 8, 6, 16, **hyper)
+        params = encoders.build_encoder(kind, 8, 6, 16)
         sentence_trees = parses if encoders.KINDS[kind].reads_parses else [None] * len(seqs)
         pooled = encoders.encode_corpus(params, seqs, ("max", "mean"), trees=sentence_trees)
         for pooling, rows in pooled.items():

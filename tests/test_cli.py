@@ -220,7 +220,7 @@ def test_encode_rejects_bad_spec_before_reading(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize("spec, dim, reason", [
-    ("esn(leak=0)", "8", "esn leak rate must be in (0, 1], got 0"),
+    ("esn(leak=0)", "8", "esn leak rate must be in (0, 1], got 0.0"),
     ("rand_lstm", "127", "rand_lstm needs an even output dim, got 127"),
     ("self_attention(heads=3)", "15",
      "self_attention with use_pe needs an even output dim, got 15"),

@@ -80,6 +80,28 @@ def test_imports_only_numpy_and_the_standard_library():
     assert outside == []
 
 
+def test_kind_names_only_in_the_kind_table():
+    # one place knows the encoder kinds: code elsewhere asks the kind table,
+    # so no string in it names a kind or lists kinds; encoders.py and
+    # trees.py are exempt, as each params class there names its own kind
+    package = os.path.join(ROOT, "src", "randenc")
+    paths = [os.path.join(package, name) for name in sorted(os.listdir(package))
+             if name.endswith(".py") and name not in ("encoders.py", "trees.py")]
+    paths += [os.path.join(SCRIPTS, name) for name in sorted(os.listdir(SCRIPTS))
+              if name.endswith(".py")]
+    named = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        named += [
+            f"{os.path.basename(path)}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and all(part.strip() in ENCODER_KINDS for part in node.value.split(","))
+        ]
+    assert named == []
+
+
 def test_small_vector_load_imports_no_process_pool(tmp_path):
     # only a file big enough to be cut into ranges starts worker processes;
     # importing the pool on every load would add its memory to every run

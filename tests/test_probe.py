@@ -563,11 +563,19 @@ def test_l2_ties_go_to_smaller(nprng):
 # ---------------------------------------------------------------------------
 
 
-def test_kfold_leave_one_out_separable():
+def test_kfold_leave_one_out_without_dev_split_raises(monkeypatch):
+    # the two folds that hold examples each test one example of each class
+    # and train on one of each, so no class gives an example to the inner
+    # dev split: no held-out rows can pick l2
     x = np.array([[2.0, 0.0], [2.1, 0.1], [-2.0, 0.0], [-2.2, -0.1]])
     y = np.array([0, 0, 1, 1])
-    acc = kfold_accuracy(x, y, k=4, config=ProbeConfig(max_epochs=100))
-    assert acc == 1.0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a probe trained")
+
+    monkeypatch.setattr(probe, "_fit_lanes", no_fit)
+    with pytest.raises(DegenerateTaskError, match=r"^cv fold 1 of 4: .* holds 0 class"):
+        kfold_accuracy(x, y, k=4, config=ProbeConfig(max_epochs=100))
 
 
 @pytest.mark.parametrize("singleton", [0, 2])
@@ -643,11 +651,13 @@ def test_inner_dev_split_gives_one_of_each_small_class_to_dev():
     assert np.bincount(y[dev], minlength=4).tolist() == [1, 1, 1, 0]
 
 
-def test_inner_dev_split_validates_on_training_rows_only_without_two_dev_classes():
-    # one example per class but one: a dev set would hold a single class
+def test_inner_dev_split_holds_one_class_without_two_classes_of_two():
+    # one example per class but one: dev holds a single class, and no
+    # training row is handed back as dev (kfold_accuracy raises on it)
     y = np.array([0, 1, 1, 2])
     train, dev = probe._inner_dev_split(y, seed=0)
-    assert train.tolist() == dev.tolist() == [0, 1, 2, 3]
+    assert sorted(train.tolist() + dev.tolist()) == [0, 1, 2, 3]
+    assert y[dev].tolist() == [1]
 
 
 def test_stratified_folds_balanced():

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import multiprocessing
 import os
@@ -98,6 +99,27 @@ def test_parse_takes_the_names_the_builder_takes(monkeypatch):
         parse_encoder_spec(f"{twin}(nodes=all)")
 
 
+def test_every_hyperparameter_round_trips_through_a_spec():
+    # each builder default, written as a config file writes it, reads back as
+    # itself; a value of another type fails naming the kind, key and type
+    # (any text reads as a str, so a str has no wrong value)
+    wrong = {bool: "1", int: "1.5", float: "high", str: None}
+    for kind, entry in enc.KINDS.items():
+        for param in list(inspect.signature(entry.build).parameters.values())[3:]:
+            default, value_type = param.default, type(param.default)
+            text = str(default).lower() if value_type is bool else str(default)
+            value = parse_encoder_spec(f"{kind}({param.name}={text})").hyper_dict()[param.name]
+            assert (value, type(value)) == (default, value_type), (kind, param.name)
+            if wrong[value_type] is not None:
+                token = f"{kind}({param.name}={wrong[value_type]})"
+                with pytest.raises(ConfigError) as err:
+                    parse_encoder_spec(token)
+                assert str(err.value) == (
+                    f"encoder spec {token!r}: bad hyperparameters ({kind} {param.name}= "
+                    f"takes {value_type.__name__} values, got {wrong[value_type]!r})"
+                )
+
+
 # ---------------------------------------------------------------------------
 # experiment fixture: tiny synthetic sweep on disk
 # ---------------------------------------------------------------------------
@@ -173,7 +195,7 @@ BAD_CONFIG_LINES = {
     "encoder_hyper_int": ("encoders=borep,cnn(window=abc)", "window= takes int values, got 'abc'"),
     "encoder_hyper_float": ("encoders=esn(rho=high)", "esn rho= takes float values, got 'high'"),
     "encoder_hyper_paren": ("encoders=cnn(window=2))", "cnn window= takes int values, got '2)'"),
-    "encoder_hyper_bool": ("encoders=cnn(from_borep=1)", "from_borep= takes bool values, got 1"),
+    "encoder_hyper_bool": ("encoders=cnn(from_borep=1)", "from_borep= takes bool values, got '1'"),
 }
 
 
@@ -224,7 +246,7 @@ BAD_CONFIG_VALUES = {
     "encoder_ranges": (
         "encoders=borep,esn(leak=0),cnn(window=0),self_attention(heads=0),rand_lstm",
         "encoder spec 'esn(leak=0)': bad hyperparameters "
-        "(esn leak rate must be in (0, 1], got 0)",
+        "(esn leak rate must be in (0, 1], got 0.0)",
     ),
     "encoder_window": ("encoders=borep,cnn(window=0)",
                        "encoder spec 'cnn(window=0)': bad hyperparameters "
@@ -869,5 +891,5 @@ def test_config_checks_draw_nothing(monkeypatch):
     monkeypatch.setattr(enc, "build_encoder", no_draw)
     specs = tuple(parse_encoder_spec(kind) for kind in enc.ENCODER_KINDS)
     ExperimentConfig("e", ("t",), specs, dims=(8, 16))
-    with pytest.raises(ConfigError, match=r"esn leak rate must be in \(0, 1\], got 0"):
+    with pytest.raises(ConfigError, match=r"esn leak rate must be in \(0, 1\], got 0\.0"):
         ExperimentConfig("e", ("t",), (parse_encoder_spec("esn(leak=0)"),), dims=(8,))
