@@ -201,11 +201,8 @@ def lstm_states(weights: LstmWeights, xs: np.ndarray) -> np.ndarray:
     c = np.zeros(h_dim)
     out = np.empty((t_len, h_dim))
     for t in range(t_len):
-        z = pre_x[t] + weights.u @ h
-        i = sigmoid(z[0:h_dim])
-        f = sigmoid(z[h_dim : 2 * h_dim])
-        g = np.tanh(z[2 * h_dim : 3 * h_dim])
-        o = sigmoid(z[3 * h_dim : 4 * h_dim])
+        z_i, z_f, z_g, z_o = np.split(pre_x[t] + weights.u @ h, len(LSTM_GATE_ORDER))
+        i, f, g, o = sigmoid(z_i), sigmoid(z_f), np.tanh(z_g), sigmoid(z_o)
         c = f * c + i * g
         h = o * np.tanh(c)
         out[t] = h
@@ -235,11 +232,8 @@ def lstm_states_batch(weights: LstmWeights, xs: np.ndarray) -> np.ndarray:
     c = np.zeros((b_len, h_dim))
     out = np.empty((b_len, t_len, h_dim))
     for t in range(t_len):
-        z = pre_x[:, t] + h @ u_t
-        i = sigmoid(z[:, 0:h_dim])
-        f = sigmoid(z[:, h_dim : 2 * h_dim])
-        g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-        o = sigmoid(z[:, 3 * h_dim : 4 * h_dim])
+        z_i, z_f, z_g, z_o = np.split(pre_x[:, t] + h @ u_t, len(LSTM_GATE_ORDER), axis=1)
+        i, f, g, o = sigmoid(z_i), sigmoid(z_f), np.tanh(z_g), sigmoid(z_o)
         c = f * c + i * g
         h = o * np.tanh(c)
         out[:, t] = h

@@ -23,6 +23,8 @@ __all__ = [
     "sigmoid",
 ]
 
+LAYER_NORM_EPS = 1e-5
+
 
 class SeededRng:
     """Seeded random source (numpy PCG64, pinned).
@@ -80,7 +82,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def layer_norm(v, eps: float = 1e-5) -> np.ndarray:
+def layer_norm(v) -> np.ndarray:
     """Normalize the last axis to zero mean and unit population variance.
 
     Gain is 1 and bias is 0; eps sits inside the square root, so constant
@@ -89,9 +91,9 @@ def layer_norm(v, eps: float = 1e-5) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("layer_norm expects a non-empty input")
-    mu = v.mean(axis=-1, keepdims=True)
-    var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (v - mu) / np.sqrt(var + eps)
+    centred = v - v.mean(axis=-1, keepdims=True)
+    var = (centred**2).mean(axis=-1, keepdims=True)
+    return centred / np.sqrt(var + LAYER_NORM_EPS)
 
 
 class SpectralRadiusEstimate(NamedTuple):
@@ -114,4 +116,4 @@ def sigmoid(x) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)), overflow-safe for large |x|."""
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)

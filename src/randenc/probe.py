@@ -38,6 +38,7 @@ __all__ = [
     "evaluate",
     "predict",
     "kfold_accuracy",
+    "cv_fold_splits",
     "stratified_folds",
     "L2_GRID",
 ]
@@ -541,6 +542,39 @@ def _inner_dev_split(y_train: np.ndarray, seed: int):
     return np.concatenate(train_parts), np.concatenate(dev_parts)
 
 
+def cv_fold_splits(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, ...]]:
+    """(test, inner training, inner dev) example indices of each of the k
+    stratified folds that holds test examples; fold i's inner dev split is
+    drawn at seed + i + 1.
+
+    A fold whose training examples, or whose inner dev split, would hold
+    fewer than 2 classes raises DegenerateTaskError naming the fold. Whether
+    one does depends on the class counts and k alone, not on the seed:
+    stratified_folds deals each class round-robin, and _inner_dev_split
+    sizes dev from class counts."""
+    y = np.asarray(labels, dtype=np.int64)
+    assignment = stratified_folds(y, k, seed)
+    splits = []
+    for fold in range(k):
+        test_idx = np.flatnonzero(assignment == fold)
+        if test_idx.size == 0:
+            continue
+        train_idx = np.flatnonzero(assignment != fold)
+        train_classes = np.unique(y[train_idx]).size
+        if train_classes < 2:
+            raise DegenerateTaskError(f"cv fold {fold + 1} of {k}: its training examples hold "
+                                      f"{train_classes} class(es); need at least 2")
+        sub_tr, sub_dev = _inner_dev_split(y[train_idx], seed + fold + 1)
+        dev_classes = np.unique(y[train_idx[sub_dev]]).size
+        if dev_classes < 2:
+            raise DegenerateTaskError(
+                f"cv fold {fold + 1} of {k}: its inner dev split holds {dev_classes} class(es); "
+                "choosing l2 needs at least 2 classes with 2 or more training examples each"
+            )
+        splits.append((test_idx, train_idx[sub_tr], train_idx[sub_dev]))
+    return splits
+
+
 def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: ProbeConfig) -> float:
     """Mean held-out accuracy over deterministic stratified k folds; each
     fold picks its l2 on an inner dev split of its training examples.
@@ -553,29 +587,16 @@ def kfold_accuracy(embeddings: np.ndarray, labels: np.ndarray, k: int, config: P
 
     Every fold's probe has the task's classes, so a class that a fold's
     training examples lack is one its probe never predicts, not an error.
-    A fold whose inner dev split would hold fewer than 2 classes raises
-    DegenerateTaskError naming the fold, before any probe trains."""
+    A fold that cannot pick l2 raises DegenerateTaskError naming the fold
+    (see cv_fold_splits), before any probe trains."""
     x, y = _check_examples(embeddings, labels)
     n_classes = _n_train_classes(y)
     _check_labels(y, n_classes, "task")
-    assignment = stratified_folds(y, k, config.seed)
     tests, masks = [], []
-    for fold in range(k):
-        test_idx = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero(assignment != fold)
-        if test_idx.size == 0:
-            continue
-        _n_train_classes(y[train_idx])
-        sub_tr, sub_dev = _inner_dev_split(y[train_idx], config.seed + fold + 1)
-        dev_classes = np.unique(y[train_idx[sub_dev]]).size
-        if dev_classes < 2:
-            raise DegenerateTaskError(
-                f"cv fold {fold + 1} of {k}: its inner dev split holds {dev_classes} class(es); "
-                "choosing l2 needs at least 2 classes with 2 or more training examples each"
-            )
+    for test_idx, train_rows, dev_rows in cv_fold_splits(y, k, config.seed):
         mask = np.zeros((2, y.shape[0]))
-        mask[0, train_idx[sub_tr]] = 1.0
-        mask[1, train_idx[sub_dev]] = 1.0
+        mask[0, train_rows] = 1.0
+        mask[1, dev_rows] = 1.0
         tests.append(test_idx)
         masks.append(mask)
     grid = sorted(config.l2_grid)

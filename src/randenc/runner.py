@@ -41,7 +41,15 @@ from .embeddings import (
     tokenize,
 )
 from .encoders import ConfigError, EncoderSpec, parse_encoder_spec
-from .probe import ProbeConfig, SplitPlan, kfold_accuracy, pair_features, train_probe
+from .probe import (
+    DegenerateTaskError,
+    ProbeConfig,
+    SplitPlan,
+    cv_fold_splits,
+    kfold_accuracy,
+    pair_features,
+    train_probe,
+)
 from .tasks import TaskDataset, load_task
 
 __all__ = [
@@ -546,6 +554,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"{parsed[0]} is in the encoder list but these tasks have no "
             f"parse trees: {', '.join(missing)}"
         )
+    for ds in datasets:
+        if ds.plan.kind == "cv":
+            # any seed gives the verdict every seed would (see cv_fold_splits)
+            try:
+                cv_fold_splits(ds.label_indices, ds.plan.folds, config.seeds[0])
+            except DegenerateTaskError as exc:
+                raise DegenerateTaskError(f"task {ds.name!r}: {exc}") from None
     table, prepared = _prepare_tasks(config, datasets)
 
     jobs = [

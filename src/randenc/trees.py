@@ -249,15 +249,11 @@ def build_tree_lstm(
     )
 
 
-def _tree_cell(params: TreeLstmParams, z: np.ndarray, c_l: np.ndarray, c_r: np.ndarray):
+def _tree_cell(z: np.ndarray, c_l: np.ndarray, c_r: np.ndarray):
     """One node's (h, c) from its 5D' gate input z, or one row per node when
     z is N x 5D'."""
-    d = params.out_dim
-    i = sigmoid(z[..., 0:d])
-    f_l = sigmoid(z[..., d : 2 * d])
-    f_r = sigmoid(z[..., 2 * d : 3 * d])
-    o = sigmoid(z[..., 3 * d : 4 * d])
-    u = np.tanh(z[..., 4 * d : 5 * d])
+    z_i, z_fl, z_fr, z_o, z_u = np.split(z, len(TREE_GATE_ORDER), axis=-1)
+    i, f_l, f_r, o, u = sigmoid(z_i), sigmoid(z_fl), sigmoid(z_fr), sigmoid(z_o), np.tanh(z_u)
     c = i * u + f_l * c_l + f_r * c_r
     h = o * np.tanh(c)
     return h, c
@@ -293,11 +289,11 @@ def encode_tree_lstm(params: TreeLstmParams, seq: TokenSequence, tree: ParseTree
             h_r, c_r = subtrees.pop()
             h_l, c_l = subtrees.pop()
             z = params.u_l @ h_l + params.u_r @ h_r + params.b
-            h, c = _tree_cell(params, z, c_l, c_r)
+            h, c = _tree_cell(z, c_l, c_r)
         else:
             z = params.w @ ctx[leaf_idx] + params.b
             leaf_idx += 1
-            h, c = _tree_cell(params, z, zero, zero)
+            h, c = _tree_cell(z, zero, zero)
         subtrees.append((h, c))
         if params.node_domain == "all" or token is not None:
             rows.append(h)
@@ -348,10 +344,10 @@ def encode_tree_lstm_batch(
     c = np.empty((b_len * n_nodes, d))
     ctx = bilstm_states_batch(params.leaf_forward, params.leaf_backward, xs)
     z = ctx.reshape(-1, d) @ params.w.T + params.b
-    h[leaf_rows], c[leaf_rows] = _tree_cell(params, z, 0.0, 0.0)
+    h[leaf_rows], c[leaf_rows] = _tree_cell(z, 0.0, 0.0)
     for rows, lefts, rights in levels:
         z = h[lefts] @ params.u_l.T + h[rights] @ params.u_r.T + params.b
-        h[rows], c[rows] = _tree_cell(params, z, c[lefts], c[rights])
+        h[rows], c[rows] = _tree_cell(z, c[lefts], c[rights])
     if params.node_domain == "leaves":
         return h[leaf_rows].reshape(b_len, n_leaves, d)
     return h.reshape(b_len, n_nodes, d)

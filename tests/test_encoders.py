@@ -405,7 +405,7 @@ def test_pool_max_monotone_under_dominated_rows(t_len, width, seed):
 # dispatch, determinism, batch encoding
 # ---------------------------------------------------------------------------
 
-ALL_SEQ_KINDS = ("borep", "rand_lstm", "esn", "cnn", "self_attention")
+ALL_SEQ_KINDS = tuple(kind for kind, entry in enc.KINDS.items() if not entry.reads_parses)
 
 
 @pytest.mark.parametrize("kind", ALL_SEQ_KINDS)
@@ -509,14 +509,15 @@ def test_encode_corpus_row_order_and_poolings(nprng):
     assert encode_corpus(params, seqs, ()) == {}
 
 
-@pytest.mark.parametrize("kind", ALL_SEQ_KINDS + ("tree_lstm",))
+@pytest.mark.parametrize("kind", enc.ENCODER_KINDS)
 def test_encode_corpus_matches_per_sentence_path(kind, nprng):
     # random lengths plus T=1 and T=2, both shorter than the default CNN window
     lengths = [1, 2] + [int(t) for t in nprng.integers(1, 10, 10)]
     seqs = [make_seq(nprng, t, 6) for t in lengths]
     hyper = {"sparsity": 0.5} if kind == "esn" else {}
     params = enc.build_encoder(kind, 11, 6, 16, **hyper)
-    trees = [right_branching_parse(s.tokens) for s in seqs] if kind == "tree_lstm" else None
+    reads_parses = enc.KINDS[kind].reads_parses
+    trees = [right_branching_parse(s.tokens) for s in seqs] if reads_parses else None
     pooled = encode_corpus(params, seqs, ("max", "mean"), trees=trees)
     for pooling in ("max", "mean"):
         oracle = np.array([
@@ -617,6 +618,29 @@ def test_encode_corpus_error_parity(failure, nprng):
         encode_corpus(params, seqs, ("max",), trees=trees)
     assert type(batched.value) is type(per_sentence.value)
     assert str(batched.value) == str(per_sentence.value)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("trees", "trees and sequences must align one to one"),
+    ("pooling", "unknown pooling 'median'"),
+])
+def test_encode_corpus_checks_its_arguments_before_encoding(defect, message, monkeypatch, nprng):
+    seqs = [make_seq(nprng, t, 6) for t in (3, 5)]
+    params = enc.build_encoder("tree_lstm", 2, 6, 8)
+    trees = [right_branching_parse(s.tokens) for s in seqs]
+    poolings = ("max",)
+    if defect == "trees":
+        trees = trees[:1]
+    else:
+        poolings = ("max", "median")
+
+    def no_batch(*args):
+        raise AssertionError("a batch was encoded")
+
+    entry = enc.KINDS["tree_lstm"]._replace(encode_batch=no_batch)
+    monkeypatch.setitem(enc.KINDS, "tree_lstm", entry)
+    with pytest.raises(ValueError, match=message):
+        encode_corpus(params, seqs, poolings, trees=trees)
 
 
 def test_any_kind_that_reads_parses_is_checked_and_batched_as_one(monkeypatch, nprng):

@@ -593,29 +593,30 @@ def test_kfold_scores_a_class_missing_from_a_fold_as_a_miss(singleton):
 def test_kfold_fold_training_on_one_class_raises():
     y = np.array([0, 0, 0, 1])
     x = np.arange(8.0).reshape(4, 2)
-    with pytest.raises(DegenerateTaskError):
+    with pytest.raises(DegenerateTaskError, match=r"^cv fold 1 of 2: .* hold 1 class"):
         kfold_accuracy(x, y, k=2, config=ProbeConfig(max_epochs=10))
 
 
-def reference_kfold_accuracy(x, y, k, config):
-    """kfold_accuracy as a loop over folds: each fold's inner training and
-    dev rows gathered into copies and its l2 grid trained on them alone."""
-    n_classes = int(y.max()) + 1
+def reference_fold_accuracy(x, y, k, config, fold):
+    """One cv fold's test accuracy: the fold's inner training and dev rows
+    gathered into copies and its l2 grid trained on them alone."""
     assignment = stratified_folds(y, k, config.seed)
-    accuracies = []
-    for fold in range(k):
-        test_idx = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero(assignment != fold)
-        if test_idx.size == 0:
-            continue
-        y_tr = y[train_idx]
-        sub_tr, sub_dev = probe._inner_dev_split(y_tr, config.seed + fold + 1)
-        model, _report = probe._fit_l2_grid(
-            x[train_idx[sub_tr]], y_tr[sub_tr], x[train_idx[sub_dev]], y_tr[sub_dev],
-            config, n_classes,
-        )
-        accuracies.append(evaluate(model, x[test_idx], y[test_idx]))
-    return float(np.mean(accuracies))
+    test_idx = np.flatnonzero(assignment == fold)
+    train_idx = np.flatnonzero(assignment != fold)
+    y_tr = y[train_idx]
+    sub_tr, sub_dev = probe._inner_dev_split(y_tr, config.seed + fold + 1)
+    model, _report = probe._fit_l2_grid(
+        x[train_idx[sub_tr]], y_tr[sub_tr], x[train_idx[sub_dev]], y_tr[sub_dev],
+        config, int(y.max()) + 1,
+    )
+    return evaluate(model, x[test_idx], y[test_idx])
+
+
+def reference_kfold_accuracy(x, y, k, config):
+    """kfold_accuracy as a loop over the folds that hold test examples."""
+    assignment = stratified_folds(y, k, config.seed)
+    return float(np.mean([reference_fold_accuracy(x, y, k, config, fold)
+                          for fold in range(k) if (assignment == fold).any()]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -629,6 +630,46 @@ def test_kfold_matches_per_fold_reference(kind, seed):
                          seed=seed)
     assert len(set(np.bincount(stratified_folds(y, 4, seed)))) > 1
     assert kfold_accuracy(x, y, 4, config) == reference_kfold_accuracy(x, y, 4, config)
+
+
+def test_kfold_skips_folds_without_test_examples():
+    # 3 examples of each class dealt into 5 folds: folds 3 and 4 hold none
+    x, y = make_blobs(6, margin=0.2, seed=5)
+    assert np.bincount(y).tolist() == [3, 3]
+    config = ProbeConfig(max_epochs=40, seed=2)
+    assignment = stratified_folds(y, 5, config.seed)
+    assert np.bincount(assignment, minlength=5).tolist() == [2, 2, 2, 0, 0]
+    per_fold = [reference_fold_accuracy(x, y, 5, config, fold) for fold in range(3)]
+    assert kfold_accuracy(x, y, 5, config) == float(np.mean(per_fold))
+
+
+@st.composite
+def cv_labels(draw):
+    """k, and at least k labels of at least 2 of 4 classes."""
+    k = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=k, max_size=30)
+                  .filter(lambda ys: len(set(ys)) >= 2))
+    return k, np.array(labels)
+
+
+@given(cv_labels(), st.integers(0, 100), st.integers(0, 100))
+@settings(max_examples=60, deadline=None)
+def test_cv_fold_splits_raises_exactly_when_kfold_accuracy_does(case, check_seed, probe_seed):
+    # a sweep checks its cv tasks at its first seed; the verdict holds at
+    # every seed a tuple's probe is drawn at
+    k, y = case
+    x = np.random.default_rng(0).normal(size=(y.size, 2))
+    try:
+        probe.cv_fold_splits(y, k, check_seed)
+        check_raised = False
+    except DegenerateTaskError:
+        check_raised = True
+    try:
+        kfold_accuracy(x, y, k, ProbeConfig(max_epochs=2, seed=probe_seed))
+        kfold_raised = False
+    except DegenerateTaskError:
+        kfold_raised = True
+    assert check_raised == kfold_raised
 
 
 def test_inner_dev_split_holds_out_beside_a_single_example_class():

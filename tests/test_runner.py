@@ -33,7 +33,7 @@ from randenc.tasks import (
     write_task_files,
 )
 from randenc.embeddings import EmbeddingFormatError, write_embeddings
-from randenc.probe import ProbeConfig, SplitPlan, kfold_accuracy
+from randenc.probe import DegenerateTaskError, ProbeConfig, SplitPlan, kfold_accuracy
 from randenc.trees import TreeParseError
 
 from conftest import add_twin_tree_kind, assert_matches_oracle
@@ -679,6 +679,25 @@ def test_cv_task_scored_by_kfold_accuracy_at_sweep_seed(tmp_path):
         assert r.accuracy == kfold_accuracy(x, dataset.label_indices, 4, probe)
 
 
+def test_cv_task_whose_folds_cannot_pick_l2_fails_before_any_build(tmp_path, monkeypatch):
+    # 18 examples of one class and 2 of the other in 10 folds: each of the
+    # first two folds trains on one example of the small class, which
+    # stays out of the inner dev split, so that split holds one class
+    path = stage_experiment(tmp_path, n=20, encoders="borep,rand_lstm", seeds="3,1",
+                            cv_folds=10)
+    data = tmp_path / "order" / "data.tsv"
+    texts = [line.split("\t", 1)[1] for line in data.read_text(encoding="utf-8").splitlines()]
+    data.write_text("".join(f"{int(i >= 18)}\t{text}\n" for i, text in enumerate(texts)),
+                    encoding="utf-8")
+    builds, loads = [], []
+    monkeypatch.setattr(enc, "build_encoder", lambda *a, **k: builds.append(a))
+    monkeypatch.setattr(runner, "load_used_vectors", lambda *a: loads.append(a))
+    with pytest.raises(DegenerateTaskError,
+                       match=r"^task 'order': cv fold 1 of 10: its inner dev split holds 1 class"):
+        run_experiment(ExperimentConfig.from_file(path))
+    assert builds == [] and loads == []
+
+
 def test_wall_ms_includes_shared_build_and_encode(tmp_path, monkeypatch):
     original = enc.build_encoder
 
@@ -800,6 +819,28 @@ def test_a_dead_worker_fails_only_its_job(tmp_path, monkeypatch, processes):
         (2, runner._WORKER_DIED), (2, runner._WORKER_DIED),
     ]
     assert [r for r in result.rows if not r.error] == [r for r in alone.rows if r.seed != 2]
+
+
+def test_without_openblas_every_job_runs_in_this_process(tmp_path, monkeypatch):
+    path = stage_experiment(tmp_path, encoders="borep,rand_lstm", seeds="1,2,3",
+                            poolings="max,mean")
+    config = ExperimentConfig.from_file(path)
+    in_processes(monkeypatch, 3)
+    found = replace(config, output_dir=str(tmp_path / "found"))
+    run_experiment(found)
+    log = tmp_path / "builds.log"
+    logging_build(monkeypatch, log)
+    set_calls = []
+    monkeypatch.setattr(parallel, "blas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "set_blas_threads", set_calls.append)
+    missing = replace(config, output_dir=str(tmp_path / "missing"))
+    run_experiment(missing)
+    assert [(pid, children) for _kind, _seed, pid, children, _blas in read_log(log)] == [
+        (str(os.getpid()), "0")
+    ] * 6
+    assert set_calls == []
+    for name in ("results.csv", "summary.csv"):
+        assert read_bytes(missing, name) == read_bytes(found, name)
 
 
 def test_first_build_before_any_worker_and_none_left_after_a_raise(tmp_path, monkeypatch):
