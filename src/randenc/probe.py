@@ -201,39 +201,33 @@ def loss_and_grad(params, x: np.ndarray, y: np.ndarray, l2, kind: str, x_t=None,
     weights = [params[0]] if kind == "logreg" else [params[0], params[2]]
     lane_weights = [w.reshape(n_lanes, -1) for w in weights]
     loss += 0.5 * lane_l2 * sum((w * w).sum(axis=1) for w in lane_weights)
-    w2_lanes = None if hidden is None else params[2].reshape(n_lanes, -1, hidden.shape[1])
-    if bound is not None:
-        pick = (loss <= bound).nonzero()[0]
-        lane_l2, delta, total = lane_l2[pick], delta[pick], total[pick]
-        if rows is not None:
-            rows, counts = rows[pick], counts[pick]
-        if hidden is not None:
-            hidden, w2_lanes = hidden[pick], w2_lanes[pick]
+    # the lanes that compute a gradient: every lane, or those within their bound
+    pick = np.arange(n_lanes) if bound is None else (loss <= bound).nonzero()[0]
+    lane_l2, delta, total = lane_l2[pick], delta[pick], total[pick]
     delta /= total[:, None, :]
     delta -= one_hot
     if rows is None:
         delta /= n
     else:
-        delta *= (rows / counts[:, None])[:, None, :]
+        delta *= (rows[pick] / counts[pick, None])[:, None, :]
 
     # at paper widths each lanes-stacked temporary takes tens of megabytes:
     # weight decay is made in one and added in place, 1 - hidden**2
     # overwrites hidden, and the mlp's activations are dropped before its
     # weight decay is made
     def decayed(grad, lane_w):
-        if bound is None:
-            decay = lane_l2[:, None] * lane_w
-        else:
-            decay = lane_w[pick]
-            decay *= lane_l2[:, None]
+        decay = lane_w[pick]
+        decay *= lane_l2[:, None]
         grad += decay.reshape(grad.shape)
         return grad
 
     if kind == "logreg":
         grads = [decayed(delta.reshape(-1, n) @ x, lane_weights[0]), delta.sum(axis=2).ravel()]
     else:
+        hidden = hidden[pick]
         grad_w2 = (delta @ hidden.transpose(0, 2, 1)).reshape(-1, hidden.shape[1])
         grad_w2 = decayed(grad_w2, lane_weights[1])
+        w2_lanes = params[2].reshape(n_lanes, -1, hidden.shape[1])[pick]
         back = w2_lanes.transpose(0, 2, 1) @ delta
         hidden *= hidden
         back *= np.subtract(1.0, hidden, out=hidden)
@@ -378,10 +372,10 @@ def _fit_lanes(x_train, y_train, x_dev, y_dev, config: ProbeConfig, n_classes: i
         dev = None if dev_rows is None else dev_rows[checked]
         acc = dev_accuracy([p[checked] for p in params], dev)
         better = acc > best_acc[lane[checked]]
-        for slot in checked[better].tolist():
-            for b, p in zip(best, params):
-                b[lane[slot]] = p[slot]
-        best_acc[lane[checked[better]]] = acc[better]
+        improved = checked[better]
+        for b, p in zip(best, params):
+            b[lane[improved]] = p[improved]
+        best_acc[lane[improved]] = acc[better]
         strikes[checked] = np.where(better, 0, strikes[checked] + 1)
         stopped[checked] |= strikes[checked] >= config.patience
     return [(list(snapshot), acc, len(history) - 1, tuple(history))

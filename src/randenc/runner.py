@@ -19,7 +19,6 @@ bytes (set timing=off to also pin wall_ms).
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from collections import deque
@@ -348,25 +347,28 @@ def _describe(exc: Exception) -> str:
 
 
 class _Job(NamedTuple):
-    """One (task, encoder, dim, seed) job, with its task's prepared corpora."""
+    """One (task, encoder, dim, seed) job and what it runs on: the corpora
+    its kind encodes, (TokenSequences, parses or None) each, the width of
+    their vectors, and the sweep's config."""
 
     dataset: TaskDataset
-    corpora: dict[bool, list]
+    corpora: list
+    in_dim: int
     spec: EncoderSpec
     dim: int
     seed: int
+    config: ExperimentConfig
 
-    def row(self, config: ExperimentConfig, pooling: str, accuracy: float, seconds: float,
-            error: str = "") -> ResultRow:
-        wall_ms = int(round(seconds * 1000)) if config.timing else 0
+    def row(self, pooling: str, accuracy: float, seconds: float, error: str = "") -> ResultRow:
+        wall_ms = int(round(seconds * 1000)) if self.config.timing else 0
         return ResultRow(self.dataset.name, self.spec.label, self.dim, pooling, self.seed,
                          accuracy, wall_ms, error)
 
-    def failed(self, config: ExperimentConfig, seconds: float, error: str) -> list[ResultRow]:
-        return [self.row(config, p, float("nan"), seconds, error) for p in config.poolings]
+    def failed(self, seconds: float, error: str) -> list[ResultRow]:
+        return [self.row(p, float("nan"), seconds, error) for p in self.config.poolings]
 
 
-def _run_job(job: _Job, in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+def _run_job(job: _Job) -> list[ResultRow]:
     """Build the job's encoder and encode each corpus once, then train one
     probe per pooling; one row per pooling.
 
@@ -377,20 +379,18 @@ def _run_job(job: _Job, in_dim: int, config: ExperimentConfig) -> list[ResultRow
     """
     start = time.perf_counter()
     try:
-        params = enc.build_encoder(job.spec.kind, job.seed, in_dim, job.dim,
+        params = enc.build_encoder(job.spec.kind, job.seed, job.in_dim, job.dim,
                                    **job.spec.hyper_dict())
-        pooled = [
-            enc.encode_corpus(params, list(seqs), config.poolings, trees=parses)
-            for seqs, parses in job.corpora[enc.KINDS[job.spec.kind].reads_parses]
-        ]
+        pooled = [enc.encode_corpus(params, list(seqs), job.config.poolings, trees=parses)
+                  for seqs, parses in job.corpora]
     except Exception as exc:  # crash isolation: one bad job never kills the sweep
-        return job.failed(config, time.perf_counter() - start, _describe(exc))
+        return job.failed(time.perf_counter() - start, _describe(exc))
     shared = time.perf_counter() - start
 
     y = job.dataset.label_indices
-    probe_config = replace(config.probe, seed=job.seed)
+    probe_config = replace(job.config.probe, seed=job.seed)
     rows = []
-    for pooling in config.poolings:
+    for pooling in job.config.poolings:
         probe_start = time.perf_counter()
         accuracy, error = float("nan"), ""
         try:
@@ -399,12 +399,11 @@ def _run_job(job: _Job, in_dim: int, config: ExperimentConfig) -> list[ResultRow
             accuracy = _probe_accuracy(features, y, job.dataset.plan, probe_config)
         except Exception as exc:
             error = _describe(exc)
-        rows.append(job.row(config, pooling, accuracy,
-                            shared + time.perf_counter() - probe_start, error))
+        rows.append(job.row(pooling, accuracy, shared + time.perf_counter() - probe_start, error))
     return rows
 
 
-def _run_jobs(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+def _run_jobs(jobs: list[_Job]) -> list[ResultRow]:
     """Every job's rows, in no particular order.
 
     Every job runs at one BLAS thread, in this process or in a forked worker
@@ -414,15 +413,15 @@ def _run_jobs(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> list[R
     """
     threads = parallel.blas_threads()
     if threads is None:
-        return [row for job in jobs for row in _run_job(job, in_dim, config)]
+        return [row for job in jobs for row in _run_job(job)]
     parallel.set_blas_threads(1)
     try:
-        return _run_on_cores(jobs, in_dim, config)
+        return _run_on_cores(jobs)
     finally:
         parallel.set_blas_threads(threads)
 
 
-def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> list[ResultRow]:
+def _run_on_cores(jobs: list[_Job]) -> list[ResultRow]:
     """The jobs' rows, run in this process and up to usable_cores - 1 forked
     workers.
 
@@ -454,7 +453,7 @@ def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> li
     remaining jobs itself, at one BLAS thread.
     """
     queue = deque(range(len(jobs)))
-    rows = _run_job(jobs[queue.popleft()], in_dim, config) if jobs else []
+    rows = _run_job(jobs[queue.popleft()]) if jobs else []
     workers = min(parallel.usable_cores() - 1, len(queue) - 1)
     died: list[int] = []
     if workers > 0 and parallel.fork_context() is not None:
@@ -464,7 +463,7 @@ def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> li
         running: dict = {}  # future -> job number
         broken = False
         forked = False
-        with _worker_pool(workers, jobs, in_dim, config) as pool:
+        with _worker_pool(workers, jobs) as pool:
             while running or (queue and not broken):
                 slots = workers * (2 if len(queue) > 2 * workers else 1)
                 while queue and not broken and len(running) < slots:
@@ -478,7 +477,7 @@ def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> li
                     parallel.set_blas_threads(1)
                     forked = True
                 if queue and not broken:
-                    rows += _run_job(jobs[queue.popleft()], in_dim, config)
+                    rows += _run_job(jobs[queue.popleft()])
                 else:
                     wait(running, return_when=FIRST_COMPLETED)
                 for future in [f for f in running if f.done()]:
@@ -489,50 +488,48 @@ def _run_on_cores(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> li
                         died.append(i)
                         broken = True
         if len(died) > 1:
-            again = {i: _rerun_alone(i, jobs, in_dim, config) for i in died}
+            again = {i: _rerun_alone(i, jobs) for i in died}
             rows += [row for job_rows in again.values() if job_rows for row in job_rows]
             died = [i for i, job_rows in again.items() if job_rows is None]
     for i in died:
-        rows += jobs[i].failed(config, 0.0, _WORKER_DIED)
+        rows += jobs[i].failed(0.0, _WORKER_DIED)
     for i in queue:
-        rows += _run_job(jobs[i], in_dim, config)
+        rows += _run_job(jobs[i])
     return rows
 
 
-def _rerun_alone(i: int, jobs: list[_Job], in_dim: int,
-                 config: ExperimentConfig) -> list[ResultRow] | None:
+def _rerun_alone(i: int, jobs: list[_Job]) -> list[ResultRow] | None:
     """Job i's rows, run in a new worker of its own; None if it died."""
     from concurrent.futures.process import BrokenProcessPool
 
-    with _worker_pool(1, jobs, in_dim, config) as pool:
+    with _worker_pool(1, jobs) as pool:
         try:
             return pool.submit(_run_in_worker, i).result()
         except BrokenProcessPool:
             return None
 
 
-def _worker_pool(workers: int, jobs: list[_Job], in_dim: int, config: ExperimentConfig):
+def _worker_pool(workers: int, jobs: list[_Job]):
     """A pool of forked workers that run jobs by number (_run_in_worker)."""
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(workers, mp_context=parallel.fork_context(),
-                               initializer=_start_worker, initargs=(jobs, in_dim, config))
+                               initializer=_start_worker, initargs=(jobs,))
 
 
 _WORKER_DIED = "BrokenProcessPool: the worker process running this job died"
 
 # In a worker: the sweep's jobs, inherited from the process that forked it.
-_worker_jobs: tuple = ()
+_worker_jobs: list[_Job] = []
 
 
-def _start_worker(jobs: list[_Job], in_dim: int, config: ExperimentConfig) -> None:
+def _start_worker(jobs: list[_Job]) -> None:
     global _worker_jobs
-    _worker_jobs = jobs, in_dim, config
+    _worker_jobs = jobs
 
 
 def _run_in_worker(i: int) -> list[ResultRow]:
-    jobs, in_dim, config = _worker_jobs
-    return _run_job(jobs[i], in_dim, config)
+    return _run_job(_worker_jobs[i])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -564,13 +561,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     table, prepared = _prepare_tasks(config, datasets)
 
     jobs = [
-        _Job(ds, corpora, spec, dim, seed)
-        for ds, corpora in zip(datasets, prepared)
+        _Job(ds, by_path[enc.KINDS[spec.kind].reads_parses], table.dim, spec, dim, seed, config)
+        for ds, by_path in zip(datasets, prepared)
         for spec in config.encoders
         for dim in config.dims
         for seed in config.seeds
     ]
-    rows = _run_jobs(jobs, table.dim, config)
+    rows = _run_jobs(jobs)
     rows.sort(key=lambda r: r.sort_key)
     summary = aggregate(rows)
     result = ExperimentResult(tuple(rows), tuple(summary))
@@ -607,8 +604,6 @@ def aggregate(rows) -> list[SummaryRow]:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return repr(float(value))
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -108,3 +110,55 @@ def test_loaded_params_frozen(tmp_path):
     loaded = load_encoder(path)
     with pytest.raises(ValueError):
         loaded.w_proj[0, 0] = 1.0
+
+
+def rewrite_checkpoint(path, drop=None, **meta_changes):
+    """The checkpoint at path, written again without array `drop`. Each of
+    meta_changes sets a scalar field of that name if there is one, else a
+    metadata key; a None value deletes it."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    arrays.pop(drop, None)
+    for key, value in meta_changes.items():
+        holder = meta["fields"] if key in meta["fields"] else meta
+        if value is None:
+            del holder[key]
+        else:
+            holder[key] = value
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
+@pytest.mark.parametrize("drop, changes, message", [
+    ("w_proj", {}, "checkpoint is missing array 'w_proj'"),
+    (None, {"seed": None}, "checkpoint is missing field 'seed'"),
+    (None, {"format": "numpy"}, "{path}: unexpected container format 'numpy'"),
+    (None, {"version": 2}, "{path}: unsupported checkpoint version 2"),
+    (None, {"kind": "stray"}, "{path}: unknown encoder kind 'stray'"),
+], ids=["array", "field", "format", "version", "kind"])
+def test_load_rejects_incomplete_or_foreign_checkpoint(tmp_path, drop, changes, message):
+    path = str(tmp_path / "b.npz")
+    save_encoder(path, enc.build_encoder("borep", 1, 4, 8))
+    rewrite_checkpoint(path, drop, **changes)
+    with pytest.raises(CheckpointError) as err:
+        load_encoder(path)
+    assert str(err.value) == message.format(path=path)
+
+
+@dataclasses.dataclass(frozen=True)
+class StrayParams:
+    kind: ClassVar[str] = "stray"
+    seed: int
+
+
+@pytest.mark.parametrize("params, message", [
+    (StrayParams(1), "unknown encoder kind 'stray'"),
+    (dataclasses.replace(enc.build_encoder("borep", 1, 4, 8), seed=None),
+     "cannot serialize field 'seed' of type <class 'NoneType'>"),
+], ids=["kind", "field"])
+def test_save_rejects_what_it_cannot_store(tmp_path, params, message):
+    path = tmp_path / "p.npz"
+    with pytest.raises(CheckpointError) as err:
+        save_encoder(str(path), params)
+    assert str(err.value) == message
+    assert not path.exists()

@@ -151,6 +151,16 @@ def test_encode_checkpoint_for_other_input_dim_leaves_output_untouched(tmp_path,
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_encode_unreadable_checkpoint_leaves_output_untouched(tmp_path, capsys):
+    stage_inputs(tmp_path, 10)
+    ckpt = tmp_path / "params.npz"
+    ckpt.write_bytes(b"not an npz")
+    assert cli.main(encode_args(tmp_path, "borep", "max", "out.txt",
+                                "--load-params", str(ckpt))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: cannot read checkpoint (")
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 def test_encode_rejects_bad_seed_before_reading(tmp_path, capsys, seed):
     args = encode_args(tmp_path, "borep")

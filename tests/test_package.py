@@ -46,6 +46,28 @@ def test_selfcheck_passes():
     assert lines == [f"PASS {name}" for name, _fn in selfcheck.CHECKS]
 
 
+def test_cli_selfcheck_exits_0(capsys):
+    assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {name}" for name, _fn in selfcheck.CHECKS
+    ]
+
+
+def test_selfcheck_reports_a_failing_check(monkeypatch):
+    def broken():
+        raise AssertionError("drifted")
+
+    checks = list(selfcheck.CHECKS)
+    name, _fn = checks[1]
+    checks[1] = (name, broken)
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    out = io.StringIO()
+    assert selfcheck.run_all(out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[1] == f"FAIL {name}: drifted"
+    assert lines[:1] + lines[2:] == [f"PASS {n}" for n, _fn in checks[:1] + checks[2:]]
+
+
 MODULES = ["randenc"] + [
     f"randenc.{info.name}" for info in pkgutil.iter_modules(randenc.__path__)
 ]

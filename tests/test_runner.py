@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from randenc import encoders as enc
-from randenc import parallel, runner
+from randenc import cli, parallel, runner
 from randenc.encoders import ConfigError
 from randenc.runner import (
     RESULTS_HEADER,
@@ -228,6 +228,29 @@ def test_from_file_error_names_line(tmp_path, case):
     assert message in str(err.value)
 
 
+# key -> a valid value that differs from the one stage_experiment writes or
+# leaves to its default
+OTHER_CONFIG_VALUES = {
+    "embeddings": "other.txt", "tasks": "other.manifest", "encoders": "esn", "dims": "8",
+    "poolings": "mean", "seeds": "3", "probe": "mlp", "l2_grid": "0.5",
+    "output_dir": "elsewhere", "timing": "on", "oov": "zero", "lowercase": "off",
+    "clean": "on", "probe_hidden": "7", "max_epochs": "41", "patience": "9",
+    "eval_interval": "3",
+}
+
+
+def test_every_config_key_is_read():
+    # a key added to the set without a reader would be accepted and ignored
+    assert set(OTHER_CONFIG_VALUES) == runner._CONFIG_KEYS
+
+
+@pytest.mark.parametrize("key", sorted(OTHER_CONFIG_VALUES))
+def test_config_key_changes_the_config(tmp_path, key):
+    staged = ExperimentConfig.from_file(stage_experiment(tmp_path))
+    path, _ = stage_config_line(tmp_path, f"{key}={OTHER_CONFIG_VALUES[key]}")
+    assert ExperimentConfig.from_file(path) != staged
+
+
 # values that parse but fail a check of the whole config or of the probe
 BAD_CONFIG_VALUES = {
     "oov": ("oov=foo", "oov policy must be drop or zero, got 'foo'"),
@@ -426,6 +449,28 @@ def test_crash_isolation_yields_error_rows(tmp_path):
     assert len(rows) == 2
     # errored tuples never reach the summary
     assert all(s.encoder == "borep" for s in result.summary)
+
+
+def test_cli_run_writes_the_tables_and_exits_0(tmp_path, capsys):
+    path = stage_experiment(tmp_path, encoders="borep", seeds="1,2")
+    assert cli.main(["run", "--config", path]) == 0
+    out_dir = tmp_path / "out"
+    assert capsys.readouterr() == (f"wrote 2 result rows to {out_dir}/results.csv\n"
+                                   f"wrote 1 summary rows to {out_dir}/summary.csv\n", "")
+    with open(out_dir / "results.csv", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == RESULTS_HEADER and len(lines) == 3
+    assert not (out_dir / "errors.csv").exists()
+
+
+def test_cli_run_with_a_failed_tuple_exits_3(tmp_path, capsys):
+    path = stage_experiment(tmp_path, encoders="borep,esn(sparsity=1e-9)", seeds="1")
+    assert cli.main(["run", "--config", path]) == 3
+    out_dir = tmp_path / "out"
+    assert capsys.readouterr() == (f"wrote 2 result rows to {out_dir}/results.csv\n"
+                                   f"wrote 1 summary rows to {out_dir}/summary.csv\n",
+                                   f"1 tuple(s) failed; see {out_dir}/errors.csv\n")
+    assert (out_dir / "errors.csv").exists()
 
 
 def test_no_errors_csv_on_clean_run(tmp_path):

@@ -211,6 +211,23 @@ def test_mixed_split_styles_rejected(tmp_path):
         load_task(manifest)
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("kind=single\ndata=data.tsv\nsplit=cv2\n", "manifest is missing name="),
+    ("name=m\ndata=data.tsv\nsplit=cv2\n", "kind= must be single or pair, got None"),
+    ("name=m\nkind=triple\ndata=data.tsv\nsplit=cv2\n",
+     "kind= must be single or pair, got 'triple'"),
+    ("name=m\nkind=single\ndata=data.tsv\n", "data= requires split=cv<k>"),
+    ("name=m\nkind=single\ntrain=data.tsv\ndev=data.tsv\ntest=data.tsv\nsplit=cv2\n",
+     "split= only applies to data= manifests"),
+], ids=["no_name", "no_kind", "bad_kind", "data_without_split", "split_beside_train"])
+def test_manifest_error_names_manifest(tmp_path, lines, message):
+    write(tmp_path / "data.tsv", "a\tx\nb\ty\n")
+    manifest = write(tmp_path / "task.manifest", lines)
+    with pytest.raises(TaskFormatError) as err:
+        load_task(manifest)
+    assert str(err.value) == f"{manifest}: {message}"
+
+
 def test_missing_split_file_rejected(tmp_path):
     write(tmp_path / "train.tsv", "a\tx\nb\ty\n")
     manifest = write(
@@ -218,6 +235,15 @@ def test_missing_split_file_rejected(tmp_path):
     )
     with pytest.raises(TaskFormatError, match="train=, dev= and test="):
         load_task(manifest)
+
+
+def test_unreadable_data_file_names_its_path(tmp_path):
+    (tmp_path / "data.tsv").mkdir()
+    manifest = write(tmp_path / "task.manifest",
+                     "name=m\nkind=single\ndata=data.tsv\nsplit=cv2\n")
+    with pytest.raises(TaskFormatError) as err:
+        load_task(manifest)
+    assert str(err.value).startswith(f"cannot read data file {tmp_path / 'data.tsv'}: ")
 
 
 def test_bad_split_value(tmp_path):
@@ -316,6 +342,24 @@ def test_dataset_rejects_single_class():
             "x", "single", ("a", "b"), None, ("1", "1"), ("1",),
             plan=make_synthetic_order_task(10).plan,
         )
+
+
+PAIR_TEXTS2 = "pair tasks need texts2; single tasks must not have it"
+
+
+@pytest.mark.parametrize("kind, texts2, labels, classes, message", [
+    ("triple", None, ("1", "0"), ("1", "0"), "task kind must be single or pair, got 'triple'"),
+    ("pair", None, ("1", "0"), ("1", "0"), PAIR_TEXTS2),
+    ("single", ("c", "d"), ("1", "0"), ("1", "0"), PAIR_TEXTS2),
+    ("single", None, ("1", "2"), ("1", "0"), "task 'x': label '2' outside the declared class set"),
+], ids=["kind", "pair_without_texts2", "single_with_texts2", "label"])
+def test_dataset_checks_kind_texts2_and_labels(kind, texts2, labels, classes, message):
+    with pytest.raises(TaskFormatError) as err:
+        TaskDataset(
+            "x", kind, ("a", "b"), texts2, labels, classes,
+            plan=make_synthetic_order_task(10).plan,
+        )
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
